@@ -4,9 +4,8 @@ The batch front end reads a JSON configuration, runs one of the studies
 (limit of the multiplicative statistic, edge-kernel convergence, norming
 constant corrections, or the cross-check battery), and writes the results as
 CSV or JSON records.  Output is deterministic: records are sorted by
-parameter tuple, floats are printed with 17 significant digits, and the
-wall-clock timestamp carried by each record is excluded from the emitted
-columns so that a rerun with the same configuration is byte-identical.
+parameter tuple and floats are printed with 17 significant digits, so that a
+rerun with the same configuration is byte-identical.
 
 CSV column order (stable): study, params, value, aux, verdict, config_hash.
 Exit codes: 0 all checks pass, 1 some check failed, 2 configuration error,
@@ -20,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .equilibrium import Potential, build_equilibrium, szego_q0, q0_limit
 from .ensemble import (DeformationQ, build_tables, kernel_trace,
                        log_lstat_det, log_lstat_gamma, norming_ratio,
                        rescaled_edge_kernel)
-from .fredholm import fredholm_det_airy, fredholm_det_ft
+from .fredholm import fredholm_det_ft
 from .idpii import interp_P, k_infinity, solve_idpii, tw_local_check
 from .special import f_beta_quad, f_k_closed
 
@@ -107,11 +105,7 @@ def parse_config(path):
 
 
 class ResultRecord:
-    """One study result: parameter tuple, value, auxiliaries, verdict.
-
-    The timestamp is carried for interactive inspection but is not part of
-    the emitted columns, which keeps output bytes deterministic.
-    """
+    """One study result: parameter tuple, value, auxiliaries, verdict."""
 
     def __init__(self, study, params, value, aux=None, verdict="pass", config_hash=""):
         self.study = study
@@ -120,7 +114,6 @@ class ResultRecord:
         self.aux = dict(aux or {})
         self.verdict = verdict
         self.config_hash = config_hash
-        self.timestamp = time.time()
 
     def sort_key(self):
         return (self.study,) + tuple(str(p) for p in self.params)
@@ -158,137 +151,145 @@ def emit(records, fmt, path):
         raise ConfigError(f"unknown output format: {fmt}")
 
 
-def _slope(ns, errs):
-    """Least-squares slope of log err against log n."""
-    ln, le = np.log(ns), np.log(errs)
-    return float(np.polyfit(ln, le, 1)[0])
+def _failed(study, params, exc, h):
+    """The record of a point that raised: no value, the error text, verdict 'failed'."""
+    return ResultRecord(study, params, float("nan"), {"error": str(exc)}, "failed", h)
+
+
+def _isolated(fn, *args):
+    """fn(*args), or the exception it raised: one failing point does not end a study."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _summary(study, s, pairs, bound, h):
+    """Convergence over n of (n, error) pairs: strictly decreasing, log-log slope <= bound."""
+    ns, errs = zip(*pairs)
+    decreasing = all(a > b for a, b in zip(errs, errs[1:]))
+    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0]) if len(ns) >= 2 else float("nan")
+    return ResultRecord(study, (s,), slope, {"decreasing": int(decreasing)},
+                        "pass" if decreasing and slope <= bound else "fail", h)
+
+
+def _setup(cfg):
+    """Equilibrium, deformation Q and effective t = -Q'(0) / c_V of a configuration."""
+    eq = build_equilibrium(Potential(cfg.potential))
+    Q = DeformationQ(cfg.deformation)
+    return eq, Q, Q.t / eq.c_v
+
+
+def _solve_idpii(cfg, T):
+    """The id-PII solution at temperature T on the configuration's grid."""
+    return solve_idpii(T, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
+                       h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
 
 
 def _theorem1_point(cfg_dict, n, s):
-    cfg = LabConfig(cfg_dict)
-    eq = build_equilibrium(Potential(cfg.potential))
-    Q = DeformationQ(cfg.deformation)
+    """Both finite-n routes to log L_n at (n, s)."""
+    eq, Q, _ = _setup(LabConfig(cfg_dict))
     grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
-    lg = log_lstat_gamma(t_def, t_und, n)
-    ld = log_lstat_det(grid, t_und, n, lsig)
-    tgt = float(np.log(fredholm_det_ft(-s * eq.c_v / Q.t, Q.t ** 3 / eq.c_v ** 3,
-                                       cfg.fredholm_m, cfg.fredholm_L)))
-    return lg, ld, tgt
+    return log_lstat_gamma(t_def, t_und, n), log_lstat_det(grid, t_und, n, lsig)
+
+
+def _theorem1_target(cfg_dict, s):
+    """The n-independent limit log det(I - K_{t_eff^3}) on L^2(s / t_eff, infinity)."""
+    cfg = LabConfig(cfg_dict)
+    eq, Q, _ = _setup(cfg)
+    return float(np.log(fredholm_det_ft(-s * eq.c_v / Q.t, Q.t ** 3 / eq.c_v ** 3,
+                                        cfg.fredholm_m, cfg.fredholm_L)))
 
 
 def _run_points(fn, cfg, points):
-    """Map fn over parameter points, optionally with a process pool."""
-    workers = int(os.environ.get("AIRYLAB_WORKERS", cfg.workers))
+    """Map fn over parameter points, in a process pool when cfg.workers > 1."""
     cfg_dict = cfg.to_dict()
-    out = []
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=int(cfg.workers)) as pool:
             futs = [pool.submit(fn, cfg_dict, *pt) for pt in points]
-            for f in futs:
-                try:
-                    out.append(f.result())
-                except Exception as exc:  # crash isolation: record and continue
-                    out.append(exc)
-        return out
-    for pt in points:
-        try:
-            out.append(fn(cfg_dict, *pt))
-        except Exception as exc:
-            out.append(exc)
-    return out
+            return [_isolated(f.result) for f in futs]
+    return [_isolated(fn, cfg_dict, *pt) for pt in points]
 
 
 def run_theorem1(cfg):
     """Per (n, s): both finite-n routes against the limiting log-determinant."""
     h = cfg.hash()
-    records = []
+    targets = dict(zip(cfg.s_list, _run_points(_theorem1_target, cfg,
+                                               [(s,) for s in cfg.s_list])))
     points = [(n, s) for s in cfg.s_list for n in cfg.n_list]
+    records = []
     results = {}
-    outputs = _run_points(_theorem1_point, cfg, points)
-    for (n, s), out in zip(points, outputs):
+    for (n, s), out in zip(points, _run_points(_theorem1_point, cfg, points)):
+        tgt = targets[s]
+        if isinstance(tgt, Exception):
+            out = tgt
         if isinstance(out, Exception):
-            records.append(ResultRecord("theorem1", (n, s), float("nan"),
-                                        {"error": str(out)}, "failed", h))
+            records.append(_failed("theorem1", (n, s), out, h))
             continue
-        lg, ld, tgt = out
+        lg, ld = out
         err = abs(lg - tgt)
         routes_ok = abs(lg - ld) <= 1e-6 * (1.0 + abs(lg))
         records.append(ResultRecord("theorem1", (n, s), lg,
                                     {"route_det": ld, "target": tgt, "error": err},
                                     "pass" if routes_ok else "fail", h))
         results.setdefault(s, []).append((n, err))
-    for s, pairs in results.items():
-        ns = [p[0] for p in pairs]
-        errs = [p[1] for p in pairs]
-        decreasing = all(a > b for a, b in zip(errs, errs[1:]))
-        slope = _slope(ns, errs) if len(ns) >= 2 else float("nan")
-        records.append(ResultRecord("theorem1-summary", (s,), slope,
-                                    {"decreasing": int(decreasing)},
-                                    "pass" if decreasing and slope <= -0.3 else "fail", h))
+    records += [_summary("theorem1-summary", s, pairs, -0.3, h) for s, pairs in results.items()]
     return records
 
 
 def run_theorem2(cfg):
     """Sup over a 5x5 grid of the finite-n edge kernel minus its limit."""
     h = cfg.hash()
-    eq = build_equilibrium(Potential(cfg.potential))
-    Q = DeformationQ(cfg.deformation)
-    t_eff = Q.t / eq.c_v
-    sol = solve_idpii(t_eff ** -1.5, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
-                      h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
+    eq, Q, t_eff = _setup(cfg)
+    sol = _solve_idpii(cfg, t_eff ** -1.5)
     s = cfg.s_list[0]
     us = np.linspace(-2.0, 2.0, 5)
+
+    def sup_error(n):
+        grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
+        return max(abs(rescaled_edge_kernel(eq, t_def, n, u, v)
+                       - k_infinity(sol, u, v, s, t_eff))
+                   for u in us for v in us)
+
     records = []
     errs = []
     for n in cfg.n_list:
-        try:
-            grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
-            sup = max(abs(rescaled_edge_kernel(eq, t_def, n, u, v)
-                          - k_infinity(sol, u, v, s, t_eff))
-                      for u in us for v in us)
-        except Exception as exc:  # crash isolation: record and continue
-            records.append(ResultRecord("theorem2", (n, s), float("nan"),
-                                        {"error": str(exc)}, "failed", h))
+        sup = _isolated(sup_error, n)
+        if isinstance(sup, Exception):
+            records.append(_failed("theorem2", (n, s), sup, h))
             continue
         errs.append((n, sup))
         records.append(ResultRecord("theorem2", (n, s), sup, {}, "pass", h))
     if len(errs) >= 2:
-        ns = [p[0] for p in errs]
-        es = [p[1] for p in errs]
-        decreasing = all(a > b for a, b in zip(es, es[1:]))
-        slope = _slope(ns, es)
-        records.append(ResultRecord("theorem2-summary", (s,), slope,
-                                    {"decreasing": int(decreasing)},
-                                    "pass" if decreasing and slope <= -0.2 else "fail", h))
+        records.append(_summary("theorem2-summary", s, errs, -0.2, h))
     return records
 
 
 def run_theorem3(cfg):
     """Norming-constant corrections c_n = n^{1/3}(1/2 - rho_n) and Q-universality."""
     h = cfg.hash()
-    eq = build_equilibrium(Potential(cfg.potential))
-    Q1 = DeformationQ(cfg.deformation)
+    eq, Q1, t_eff = _setup(cfg)
     Q2 = DeformationQ(cfg.deformation2)
     if abs(Q1.t - Q2.t) > 1e-12:
         raise ConfigError("the two deformations must share t = -Q'(0)")
-    t_eff = Q1.t / eq.c_v
-    sol = solve_idpii(t_eff ** -1.5, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
-                      h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
+    sol = _solve_idpii(cfg, t_eff ** -1.5)
+
+    def rho(Q, n, s):
+        grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
+        return norming_ratio(eq, t_def, n)
+
     records = []
     c_by_q = {}
     for label, Q in (("Q1", Q1), ("Q2", Q2)):
         for s in cfg.s_list:
             for n in cfg.n_list:
-                try:
-                    grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
-                    rho = norming_ratio(eq, t_def, n)
-                    c_n = n ** (1.0 / 3.0) * (0.5 - rho)
-                except Exception as exc:
-                    records.append(ResultRecord("theorem3", (label, n, s), float("nan"),
-                                                {"error": str(exc)}, "failed", h))
+                r = _isolated(rho, Q, n, s)
+                if isinstance(r, Exception):
+                    records.append(_failed("theorem3", (label, n, s), r, h))
                     continue
+                c_n = n ** (1.0 / 3.0) * (0.5 - r)
                 c_by_q[(label, n, s)] = c_n
-                records.append(ResultRecord("theorem3", (label, n, s), rho,
+                records.append(ResultRecord("theorem3", (label, n, s), r,
                                             {"c_n": c_n}, "pass", h))
     for n in cfg.n_list:
         for s in cfg.s_list:
@@ -319,8 +320,7 @@ def run_crosschecks(cfg):
     and the local Tracy-Widom-type consistency check."""
     h = cfg.hash()
     records = []
-    eq = build_equilibrium(Potential(cfg.potential))
-    Q = DeformationQ(cfg.deformation)
+    eq, Q, _ = _setup(cfg)
 
     n0 = cfg.n_list[0]
     grid, t_und, t_def, lsig = build_tables(eq, Q, n0, cfg.s_list[0])
@@ -346,8 +346,7 @@ def run_crosschecks(cfg):
     records.append(ResultRecord("crosscheck-fredholm", (), conv, {},
                                 "pass" if conv < 1e-8 else "fail", h))
 
-    sol = solve_idpii(1.0, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
-                      h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
+    sol = _solve_idpii(cfg, 1.0)
     spacing = 0.05
     for S in (0.0, 1.0):
         stencil = [float(np.log(fredholm_det_ft(-(S + j * spacing), 1.0,
@@ -361,7 +360,7 @@ def run_crosschecks(cfg):
 
 def _run_fredholm(cfg):
     h = cfg.hash()
-    T = cfg.t_param ** -1.5 if cfg.t_param != 1.0 else 1.0
+    T = cfg.t_param ** -1.5
     return [ResultRecord("fredholm", (s, T),
                          fredholm_det_ft(s, T, cfg.fredholm_m, cfg.fredholm_L), {}, "pass", h)
             for s in cfg.s_list]
@@ -369,8 +368,7 @@ def _run_fredholm(cfg):
 
 def _run_idpii_solve(cfg):
     h = cfg.hash()
-    sol = solve_idpii(cfg.t_param ** -1.5, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
-                      h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
+    sol = _solve_idpii(cfg, cfg.t_param ** -1.5)
     stride = max(1, sol.S_grid.size // 50)
     return [ResultRecord("idpii", (float(S),), float(I),
                          {"P": float(P), "truncated": int(flag)}, "pass", h)

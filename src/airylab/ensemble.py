@@ -20,11 +20,9 @@ import math
 
 import numpy as np
 
-from .errors import BreakdownError, DomainError, InconsistencyError
-from .numerics import PanelScheme, RealPolynomial, gauss_legendre, lu_logdet
+from .errors import BreakdownError, DomainError
+from .numerics import RULE16, PanelScheme, RealPolynomial, lu_logdet
 from .special import log_logistic
-
-_RULE16 = gauss_legendre(16)
 
 
 class DeformationQ:
@@ -123,7 +121,7 @@ def build_grid(eq, n, core_pad=0.5, tail_panels=20, log_range=400.0):
     breaks.insert(0, left_core - (left_core - left_win) * glen[::-1])
     breaks.append(right_core + (right_win - right_core) * glen)
     bp = np.unique(np.concatenate(breaks))
-    return EnsembleGrid(eq, n, PanelScheme(bp, _RULE16))
+    return EnsembleGrid(eq, n, PanelScheme(bp, RULE16))
 
 
 class RecurrenceTable:
@@ -200,7 +198,11 @@ def weighted_values(table, n, x, log_w_half):
 
 
 def cd_kernel(table, n, x, y):
-    """Christoffel-Darboux kernel K_n(x, y) = sum_{k<n} Phat_k(x) Phat_k(y)."""
+    """Christoffel-Darboux kernel K_n(x, y) = sum_{k<n} Phat_k(x) Phat_k(y).
+
+    An independent test oracle kept on purpose (tests/test_ensemble.py,
+    TestRecurrence::test_reproducing_property).
+    """
     ux = weighted_values(table, n, [x], 0.0)[:, 0]
     uy = weighted_values(table, n, [y], 0.0)[:, 0]
     return float(np.sum(ux * uy))
@@ -241,7 +243,12 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes, spectrum_tol=1e-8):
 
 
 def log_partition(table, n):
-    """log Z_n = log n! + sum_{k<n} log h_k (Heine / Hankel identity)."""
+    """log Z_n = log n! + sum_{k<n} log h_k (Heine / Hankel identity).
+
+    An independent test oracle kept on purpose (tests/test_ensemble.py,
+    TestLinearStatistic::test_partition_function_shift and
+    ::test_s_derivative_of_log_partition).
+    """
     return math.lgamma(n + 1) + float(np.sum(table.log_h[:n]))
 
 

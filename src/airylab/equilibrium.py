@@ -17,10 +17,9 @@ closed-form n -> infinity limit.
 import numpy as np
 
 from .errors import BreakdownError, ConvergenceError, DomainError, InconsistencyError
-from .numerics import PanelScheme, RealPolynomial, gauss_legendre
+from .numerics import RULE16, PanelScheme, RealPolynomial, gauss_legendre, integrate_panels
 from .special import f_beta_quad, log_logistic
 
-_RULE16 = gauss_legendre(16)
 _RULE64 = gauss_legendre(64)
 
 
@@ -152,44 +151,33 @@ class EquilibriumData:
         return out if out.ndim else out[()]
 
 
-def _phi_scheme(z, dtype=float):
+def _phi_scheme(z):
     n_panels = max(8, int(np.ceil(np.sqrt(z) / 0.25)))
     breaks = np.linspace(0.0, np.sqrt(z), n_panels + 1)
-    return PanelScheme(breaks, _RULE16)
+    return PanelScheme(breaks, RULE16)
 
 
-def phi_right(eq, z, dtype=float):
+def phi_right(eq, z):
     """Exterior phase phi(z) = int_0^z (1/2) sqrt(s(s+a)) h(s) ds for z >= 0.
 
     Uses the substitution s = w^2, which makes the integrand smooth at the
-    origin.  dtype=np.longdouble evaluates the sum in extended precision,
-    which matters when z is large and phi ~ V/2.
+    origin.  An independent test oracle kept on purpose, with conformal_psi
+    (tests/test_equilibrium.py, TestEdgeFunctions).
     """
     if z < 0:
         raise DomainError("phi_right needs z >= 0")
     if z == 0:
         return 0.0
-    scheme = _phi_scheme(z)
-    w = scheme.nodes.astype(dtype)
-    ww = scheme.weights.astype(dtype)
-    a = dtype(eq.a)
-    hv = _poly_eval_dtype(eq.h, w * w, dtype)
-    vals = w * w * np.sqrt(w * w + a) * hv * ww
-    total = dtype(0.0)
-    for v in vals:
-        total += v
-    return total if dtype is not float else float(total)
-
-
-def _poly_eval_dtype(p, x, dtype):
-    acc = np.zeros_like(x) + dtype(p.coeffs[-1])
-    for c in p.coeffs[-2::-1]:
-        acc = acc * x + dtype(c)
-    return acc
+    return float(integrate_panels(lambda w: w * w * np.sqrt(w * w + eq.a) * eq.h(w * w),
+                                  _phi_scheme(z)))
 
 
 def conformal_psi(eq, z):
-    """Conformal edge coordinate psi(z) = ((3/2) phi(z))^{2/3}, psi'(0) = c_V."""
+    """Conformal edge coordinate psi(z) = ((3/2) phi(z))^{2/3}, psi'(0) = c_V.
+
+    An independent test oracle kept on purpose (tests/test_equilibrium.py,
+    TestEdgeFunctions::test_conformal_map_derivative_is_cv).
+    """
     return (1.5 * phi_right(eq, z)) ** (2.0 / 3.0)
 
 
@@ -224,7 +212,7 @@ def _log_potential(eq, x0):
         breaks = _graded_breaks(0.0, np.pi, sing)
     else:
         breaks = np.linspace(0.0, np.pi, 33)
-    scheme = PanelScheme(breaks, _RULE16)
+    scheme = PanelScheme(breaks, RULE16)
     vals = integrand(scheme.nodes)
     vals[~np.isfinite(vals)] = 0.0  # node exactly at the log singularity
     integral = float(np.sum(vals * scheme.weights))
@@ -262,35 +250,34 @@ def _far_field_ell(eq, x):
     if x <= 2.0 * x1:
         raise DomainError("far-field point too close to the support")
     # inner part, s = w^2: integrand w^2 sqrt(w^2+a) h(w^2) - w V'(w^2)
+    def inner(w):
+        w = w.astype(ld)
+        s = w * w
+        return s * np.sqrt(s + a) * eq.h(s) - w * eq.V.d(s)
+
     w1 = np.sqrt(x1)
-    scheme = PanelScheme(np.linspace(0.0, w1, max(16, int(np.ceil(w1 / 0.25))) + 1), _RULE16)
-    wn = scheme.nodes.astype(ld)
-    s = wn * wn
-    g = s * np.sqrt(s + a) * _poly_eval_dtype(eq.h, s, ld) \
-        - wn * _poly_eval_dtype(eq.V.dpoly, s, ld)
-    total = ld(0.0)
-    for v in g * scheme.weights.astype(ld):
-        total += v
+    total = integrate_panels(inner, PanelScheme(
+        np.linspace(0.0, w1, max(16, int(np.ceil(w1 / 0.25))) + 1), RULE16))
     # outer part: G(s) = -(1/2) sqrt(s(s+a)) sum_{m>=1} d_{-m} s^{-m}, the
     # decaying remainder of the series division that defines h -- identical to
     # the inner integrand but free of cancellation for s > a.
     dneg = _division_tail_coeffs(eq, n_terms=60)
+
+    def outer(s):
+        s = s.astype(ld)
+        tail = np.zeros_like(s)
+        for m in range(dneg.size - 1, -1, -1):
+            tail = tail / s + dneg[m]
+        tail = tail / s  # now sum d_{-m} s^{-m}, m >= 1
+        return -0.5 * np.sqrt(s * (s + a)) * tail
+
     breaks = [x1]
     sx = x1
     while sx < x:
         sx = min(2.0 * sx, x)
         breaks.extend(np.linspace(breaks[-1], sx, 5)[1:].tolist())
-    scheme2 = PanelScheme(np.unique(breaks), _RULE16)
-    sn = scheme2.nodes.astype(ld)
-    tail = np.zeros_like(sn)
-    for m in range(dneg.size - 1, -1, -1):
-        tail = tail / sn + ld(dneg[m])
-    tail = tail / sn  # now sum d_{-m} s^{-m}, m >= 1
-    g2 = -0.5 * np.sqrt(sn * (sn + a)) * tail
-    for v in g2 * scheme2.weights.astype(ld):
-        total += v
-    v0 = _poly_eval_dtype(eq.V.poly, np.array(0.0, dtype=ld), ld)
-    return float(total - 0.5 * v0 + np.log(ld(x)))
+    total += integrate_panels(outer, PanelScheme(np.unique(breaks), RULE16))
+    return float(total - 0.5 * eq.V(ld(0.0)) + np.log(ld(x)))
 
 
 def _division_tail_coeffs(eq, n_terms=60):
@@ -313,7 +300,11 @@ def _division_tail_coeffs(eq, n_terms=60):
 
 
 def el_residual(eq, x):
-    """Euler-Lagrange residual -U(x) - V(x)/2 - ell (zero on the support)."""
+    """Euler-Lagrange residual -U(x) - V(x)/2 - ell (zero on the support).
+
+    An independent test oracle kept on purpose (tests/test_equilibrium.py,
+    TestEdgeFunctions::test_el_residual_signs, and acceptance criterion 12).
+    """
     if eq.ell is None:
         raise DomainError("equilibrium data has no Lagrange constant yet")
     return -_log_potential(eq, float(x)) - 0.5 * float(eq.V(x)) - eq.ell
@@ -361,7 +352,7 @@ def szego_q0(eq, q_poly, n, s):
     breaks = np.unique(np.concatenate([
         np.pi * 0.5 ** np.arange(0, 60.0), [0.0, np.pi],
         np.linspace(0.0, np.pi, 17)]))
-    scheme = PanelScheme(breaks, _RULE16)
+    scheme = PanelScheme(breaks, RULE16)
     x = -a * np.sin(0.5 * scheme.nodes) ** 2
     vals = log_logistic(s + float(n) ** (2.0 / 3.0) * q_poly(x))
     return -np.sum(vals * scheme.weights) / (2.0 * np.pi)

@@ -17,26 +17,17 @@ a different thing for each map; see build_nystrom and build_nystrom_airy.
 import numpy as np
 
 from .errors import BreakdownError, DomainError
-from .numerics import (PanelScheme, gauss_legendre, lu_logdet, map_log_linear,
+from .numerics import (RULE16, PanelScheme, gauss_legendre, lu_logdet, map_log_linear,
                        map_semi_infinite)
-from .special import airy_ai, airy_ai_prime, logistic
-
-_RULE16 = gauss_legendre(16)
-_AI_CUT = 30.0  # Ai(30) ~ 3e-110: beyond this the kernel row is numerically zero
-
-
-def _ai_damped(x):
-    """Ai(x) with hard zero beyond the cutoff (mapped nodes can be huge)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x <= _AI_CUT
-    if np.any(m):
-        out[m] = airy_ai(x[m])
-    return out
+from .special import _AI_CUT, _airy_cut, airy_ai, airy_ai_prime, logistic
 
 
 def airy_kernel(u, v):
-    """Classical Airy kernel, with the confluent diagonal handled explicitly."""
+    """Classical Airy kernel, with the confluent diagonal handled explicitly.
+
+    An independent test oracle kept on purpose (tests/test_fredholm.py,
+    TestAiryKernel): build_nystrom_airy assembles the same kernel vectorized.
+    """
     if min(u, v) > _AI_CUT:
         return 0.0
     if abs(u - v) < 1e-5:
@@ -56,18 +47,22 @@ def _zeta_scheme(T, x_min):
     hi = min(max((45.0 * 0.75) ** (2.0 / 3.0) - x_min, lo + 1.0), 60.0)
     width = min(0.5, 5.0 / t13)
     n_panels = int(np.ceil((hi - lo) / width))
-    return PanelScheme(np.linspace(lo, hi, n_panels + 1), _RULE16)
+    return PanelScheme(np.linspace(lo, hi, n_panels + 1), RULE16)
 
 
 def ft_airy_kernel(u, v, T):
-    """Finite-temperature Airy kernel K_T(u, v) by panel quadrature."""
+    """Finite-temperature Airy kernel K_T(u, v) by panel quadrature.
+
+    An independent test oracle kept on purpose (tests/test_fredholm.py,
+    TestFtKernel): build_nystrom assembles the kernel matrix in one matmul.
+    """
     if T <= 0:
         raise DomainError("temperature parameter must be positive")
     if min(u, v) > _AI_CUT:
         return 0.0
     scheme = _zeta_scheme(T, min(u, v))
     z = scheme.nodes
-    f = logistic(T ** (1.0 / 3.0) * z) * _ai_damped(u + z) * _ai_damped(z + v)
+    f = logistic(T ** (1.0 / 3.0) * z) * _airy_cut(u + z) * _airy_cut(z + v)
     return float(np.sum(f * scheme.weights))
 
 
@@ -131,7 +126,7 @@ def build_nystrom(s, T, m, L=10.0):
                                                 2.0 / T ** (1.0 / 3.0)))
     scheme = _zeta_scheme(T, float(x[0]))
     z = scheme.nodes
-    B = sw[:, None] * _ai_damped(x[:, None] + z[None, :])
+    B = sw[:, None] * _airy_cut(x[:, None] + z[None, :])
     c = scheme.weights * logistic(T ** (1.0 / 3.0) * z)
     M = (B * c) @ B.T
     M = 0.5 * (M + M.T)
@@ -147,17 +142,12 @@ def build_nystrom_airy(s, m, L=10.0):
     if not np.isfinite(s) or abs(s) > 12.0:
         raise DomainError("s must satisfy |s| <= 12")
     x, sw = _half_line_nodes(m, *map_semi_infinite(s, L))
-    keep = x <= _AI_CUT
-    xk = x[keep]
-    ai = airy_ai(xk)
-    aip = airy_ai_prime(xk)
-    diff = xk[:, None] - xk[None, :]
+    ai, aip = _airy_cut(x), _airy_cut(x, prime=True)
+    diff = x[:, None] - x[None, :]
     num = ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        Kc = np.where(np.abs(diff) > 1e-12, num / np.where(diff == 0, 1.0, diff), 0.0)
-    np.fill_diagonal(Kc, aip ** 2 - xk * ai ** 2)
-    K = np.zeros((m, m))
-    K[np.ix_(keep, keep)] = Kc
+        K = np.where(np.abs(diff) > 1e-12, num / np.where(diff == 0, 1.0, diff), 0.0)
+    np.fill_diagonal(K, aip ** 2 - x * ai ** 2)
     M = (sw[:, None] * K) * sw[None, :]
     M = 0.5 * (M + M.T)
     return NystromOperator(s, np.inf, m, L, x, sw, M)

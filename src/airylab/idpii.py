@@ -6,9 +6,10 @@ The unknown Phi(xi | S, T) satisfies, as a function of S at each fixed xi,
     I(S) = int Phi(xi | S, T)^2 fermi_weight(xi) dxi,
 
 with Airy boundary data Phi ~ T^{1/6} Ai(T^{2/3} xi + S T^{-1/3}) for large S.
-The solver marches the coupled system (Phi, dPhi/dS, P) downward in S from
-S_max with classical RK4 on a fixed xi grid; the anti-derivative P obeys
-dP/dS = S/(2T) + I(S)/T with P(S_max) = S_max^2/(4T).
+The solver marches the coupled system (Phi, dPhi/dS, P), packed into one
+state vector, downward in S from S_max with numerics.ode_rk4 on a fixed xi
+grid; I(S) is one dot product with precomputed quadrature weights, and the
+anti-derivative P obeys dP/dS = S/(2T) + I(S)/T with P(S_max) = S_max^2/(4T).
 
 The limiting edge kernel K_infinity is built from interpolated (Phi, dPhi/dS)
 layers, and diagnostics compare second S-derivatives of log-Fredholm
@@ -18,24 +19,8 @@ determinants with the solver's I(S).
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .special import airy_ai, airy_ai_prime, fermi_weight
-
-
-def _trapz_simpson(y, h, axis=-1):
-    """Composite Simpson with a trapezoid closing panel when needed."""
-    y = np.asarray(y)
-    n = y.shape[axis]
-    if n < 3:
-        raise DomainError("need at least three samples")
-    y = np.moveaxis(y, axis, -1)
-    n_simp = n if n % 2 == 1 else n - 1
-    ys = y[..., :n_simp]
-    total = (h / 3.0) * (ys[..., 0] + ys[..., -1]
-                         + 4.0 * np.sum(ys[..., 1:-1:2], axis=-1)
-                         + 2.0 * np.sum(ys[..., 2:-1:2], axis=-1))
-    if n_simp != n:
-        total = total + 0.5 * h * (y[..., -2] + y[..., -1])
-    return total
+from .numerics import ode_rk4
+from .special import _AI_ZERO, _airy_cut, fermi_weight
 
 
 class IdPiiSolution:
@@ -76,19 +61,33 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     if n_steps % store_stride != 0:
         raise DomainError("store_stride must divide n_steps")
     n_xi = int(round((xi_hi - xi_lo) / h_xi)) + 1
+    if n_xi < 3:
+        raise DomainError("need at least three xi samples")
     xi = xi_lo + h_xi * np.arange(n_xi)
     w_xi = fermi_weight(xi)
+    # I(S) = Phi^2 . wq: composite Simpson weights on the first n_simp (odd)
+    # samples, a trapezoid closing panel when n_xi is even, times the Fermi weight
+    n_simp = n_xi - 1 + n_xi % 2
+    wq = np.zeros(n_xi)
+    wq[:n_simp] = (h_xi / 3.0) * np.where(np.arange(n_simp) % 2, 4.0, 2.0)
+    wq[[0, n_simp - 1]] = h_xi / 3.0
+    if n_simp < n_xi:
+        wq[-2:] += 0.5 * h_xi
+    wq *= w_xi
 
+    # packed state y = (Phi, dPhi/dS, P)
     t16 = T ** (1.0 / 6.0)
     arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
-    phi = t16 * _ai_clip(arg0)
-    dphi = (1.0 / t16) * _aip_clip(arg0)
-    p = S_max * S_max / (4.0 * T)
+    y0 = np.concatenate([t16 * _airy_cut(arg0, cut=_AI_ZERO),
+                         (1.0 / t16) * _airy_cut(arg0, prime=True, cut=_AI_ZERO),
+                         [S_max * S_max / (4.0 * T)]])
 
-    def intI(ph):
-        return float(_trapz_simpson(ph * ph * w_xi, h_xi))
+    def rhs(S, y):
+        ph = y[:n_xi]
+        I = ph * ph @ wq
+        return np.concatenate([y[n_xi:-1], (xi + S / T + 2.0 * I / T) * ph,
+                               [S / (2.0 * T) + I / T]])
 
-    h = (S_min - S_max) / n_steps  # negative: downward
     n_layers = n_steps // store_stride + 1
     S_grid = np.empty(n_layers)
     Phi = np.empty((n_layers, n_xi))
@@ -97,54 +96,25 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     P_of_S = np.empty(n_layers)
     flags = np.zeros(n_layers, dtype=bool)
 
-    def store(layer, S, ph, dph, pp):
+    def store(step, S, y):
+        if step % store_stride:
+            return
+        layer = step // store_stride
+        ph = y[:n_xi]
         S_grid[layer] = S
         Phi[layer] = ph
-        dPhi[layer] = dph
-        I_of_S[layer] = intI(ph)
-        P_of_S[layer] = pp
+        dPhi[layer] = y[n_xi:-1]
+        I_of_S[layer] = ph * ph @ wq
+        P_of_S[layer] = y[-1]
         integrand = ph * ph * w_xi
         peak = max(float(np.max(integrand)), 1e-300)
         flags[layer] = max(integrand[0], integrand[-1]) > guard_tol * peak
 
-    store(0, S_max, phi, dphi, p)
-
-    def rhs(S, ph, dph):
-        I = intI(ph)
-        coef = xi + S / T + 2.0 * I / T
-        return dph, coef * ph, S / (2.0 * T) + I / T
-
-    for i in range(n_steps):
-        S = S_max + h * i
-        k1 = rhs(S, phi, dphi)
-        k2 = rhs(S + 0.5 * h, phi + 0.5 * h * k1[0], dphi + 0.5 * h * k1[1])
-        k3 = rhs(S + 0.5 * h, phi + 0.5 * h * k2[0], dphi + 0.5 * h * k2[1])
-        k4 = rhs(S + h, phi + h * k3[0], dphi + h * k3[1])
-        phi = phi + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        dphi = dphi + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        p = p + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi)) and np.isfinite(p)):
-            raise BlowUpError(f"id-PII state became non-finite at step {i + 1}", step=i + 1)
-        if (i + 1) % store_stride == 0:
-            store((i + 1) // store_stride, S_max + h * (i + 1), phi, dphi, p)
-
+    try:
+        ode_rk4(rhs, y0, S_max, S_min, n_steps, observer=store)
+    except BlowUpError as exc:
+        raise BlowUpError(f"id-PII {exc}", step=exc.step) from exc
     return IdPiiSolution(T, xi, S_grid, Phi, dPhi, I_of_S, P_of_S, flags)
-
-
-def _ai_clip(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x <= 150.0
-    out[m] = airy_ai(x[m])
-    return out
-
-
-def _aip_clip(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x <= 150.0
-    out[m] = airy_ai_prime(x[m])
-    return out
 
 
 def _layer_weights(sol, S):
@@ -239,7 +209,11 @@ def tw_local_check(sol, S, fredholm_values, spacing=0.05):
 
 
 def tw_windowed_integral(sol, S, S_cut):
-    """-(1/T) int_S^{S_cut} (v - S)(I(v) - v/2) dv on the stored layer grid."""
+    """-(1/T) int_S^{S_cut} (v - S)(I(v) - v/2) dv on the stored layer grid.
+
+    An independent test oracle kept on purpose (tests/test_idpii.py,
+    TestTracyWidomChecks::test_windowed_integral_finite).
+    """
     Sg = sol.S_grid
     mask = (Sg >= S) & (Sg <= S_cut)
     v = Sg[mask][::-1]  # ascending

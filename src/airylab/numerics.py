@@ -106,6 +106,9 @@ def gauss_legendre(m, tol=1e-15, max_iter=100):
     return QuadratureRule(x[order], w[order])
 
 
+RULE16 = gauss_legendre(16)  # the panel rule shared by every module
+
+
 class PanelScheme:
     """A partition of an interval into panels sharing one reference rule."""
 
@@ -130,18 +133,18 @@ class PanelScheme:
 
 
 def integrate_panels(f, scheme):
-    """Integrate f over a PanelScheme, summing panels left to right."""
-    vals = np.asarray(f(scheme.nodes), dtype=float)
+    """Integrate f over a PanelScheme, summing panels left to right.
+
+    The sums are taken in the wider of the integrand's type and float64, so
+    an integrand that returns long double is integrated in long double.
+    """
+    vals = np.asarray(f(scheme.nodes))
     if vals.shape != scheme.nodes.shape:
         raise DomainError("integrand must return one value per node")
     if not np.all(np.isfinite(vals)):
         raise DomainError("integrand produced non-finite values")
-    m = scheme.rule.size
-    per_panel = (vals * scheme.weights).reshape(-1, m).sum(axis=1)
-    total = 0.0
-    for p in per_panel:
-        total += p
-    return total
+    per_panel = (vals * scheme.weights).reshape(-1, scheme.rule.size).sum(axis=1)
+    return np.cumsum(per_panel)[-1]  # cumsum adds strictly left to right
 
 
 def map_semi_infinite(s, L):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import PanelScheme, gauss_legendre
+from .numerics import RULE16, PanelScheme, integrate_panels
 
 # Ai(0) and -Ai'(0) to more digits than long double carries.
 _AI0 = np.longdouble("0.355028053887817239260063186004183176398")
@@ -30,6 +30,12 @@ _N_SERIES = 72
 _N_ASY = 40
 _TAYLOR_H = 1.0 / 16.0
 _N_TAYLOR = 24
+# Ai(30) ~ 3e-110: beyond this Ai and Ai' count as zero in every kernel, and
+# mapped Nystrom nodes may lie far past |x| <= _DOMAIN
+_AI_CUT = 30.0
+# Ai and Ai' underflow to 0.0 in float64 from 108 on.  Data amplified later
+# (the id-PII march takes Ai(30) to O(1) at T = 1/16) may be zeroed only there
+_AI_ZERO = 108.0
 
 
 def _series_coeffs():
@@ -223,6 +229,16 @@ def airy_ai_prime(x):
     return _airy_pair(x)[1]
 
 
+def _airy_cut(x, prime=False, cut=_AI_CUT):
+    """Ai(x), or Ai'(x) if prime, set to zero beyond cut."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    keep = x <= cut
+    if np.any(keep):
+        out[keep] = (airy_ai_prime if prime else airy_ai)(x[keep])
+    return out
+
+
 def fermi_weight(r):
     """sigma'(r) = e^{-r} / (1 + e^{-r})^2, overflow-free on the whole line."""
     r = np.asarray(r, dtype=float)
@@ -245,9 +261,6 @@ def logistic(z):
     return out if out.ndim else out[()]
 
 
-_RULE16 = gauss_legendre(16)
-
-
 def f_beta_quad(beta, y):
     """F_beta(y) = int_0^infty v^beta log(1 + e^{-y-v}) dv by panel quadrature.
 
@@ -266,8 +279,6 @@ def f_beta_quad(beta, y):
         p = round(two_beta)
         w_max = np.sqrt(v_max)
         width = 0.2
-        breaks = np.linspace(0.0, w_max, int(np.ceil(w_max / width)) + 1)
-        scheme = PanelScheme(breaks, _RULE16)
 
         def f(w):
             return 2.0 * w ** p * np.log1p(np.exp(-np.minimum(y + w * w, 700.0)))
@@ -277,19 +288,13 @@ def f_beta_quad(beta, y):
         q = 1.0 / (1.0 + beta)
         w_max = v_max ** (1.0 + beta)
         width = max(w_max / 400.0, 1e-3)
-        breaks = np.linspace(0.0, w_max, int(np.ceil(w_max / width)) + 1)
-        scheme = PanelScheme(breaks, _RULE16)
 
         def f(w):
             v = w ** q
             return np.log1p(np.exp(-np.minimum(y + v, 700.0))) / (1.0 + beta)
 
-    total = 0.0
-    m = scheme.rule.size
-    vals = f(scheme.nodes) * scheme.weights
-    for s in vals.reshape(-1, m).sum(axis=1):
-        total += s
-    return total
+    breaks = np.linspace(0.0, w_max, int(np.ceil(w_max / width)) + 1)
+    return integrate_panels(f, PanelScheme(breaks, RULE16))
 
 
 def f_k_closed(k, y, tol=1e-17):

@@ -207,8 +207,8 @@ def test_criterion_09_local_tracy_widom(sol_t1):
         "the second-derivative identity with the drift term -(I(S)-S/2)/T fails "
         f"for S > 0: residuals {res_str} equal S/2 almost exactly, while the "
         f"drift-free form d2 = -I(S)/T matches to [{free_str}] -- the stated "
-        "drift is inconsistent with the Airy-data solution; see the decisions "
-        "ledger")
+        "drift is inconsistent with the Airy-data solution; see the FOUND entry "
+        "on criterion 9 in CHANGES.md")
 
 
 def test_criterion_10_polylog_identity():

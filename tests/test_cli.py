@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from airylab import cli
 from airylab.cli import (ConfigError, LabConfig, ResultRecord, emit, main,
                          parse_config, run_theorem1)
+from airylab.errors import BreakdownError
 
 
 def write_config(tmp_path, data):
@@ -115,6 +117,56 @@ class TestRunners:
         summary = [r for r in records if r.study == "theorem1-summary"]
         assert len(summary) == 1
         assert all(r.config_hash == cfg.hash() for r in records)
+
+
+class TestTheorem1Target:
+    """The limit det(I - K) does not depend on n: one determinant per s."""
+
+    CFG = {"n_list": [4, 8], "s_list": [0.0, 1.0], "fredholm_m": 40}
+
+    def test_one_determinant_per_s(self, monkeypatch):
+        calls = []
+        real = cli.fredholm_det_ft
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "fredholm_det_ft", counting)
+        records = run_theorem1(LabConfig(self.CFG))
+        assert len(calls) == len(self.CFG["s_list"])
+        assert len({c[0] for c in calls}) == len(self.CFG["s_list"])
+        targets = {r.params[1]: r.aux["target"] for r in records if r.study == "theorem1"}
+        assert len(targets) == 2
+
+    def test_failed_target_fails_every_n_of_its_s(self, monkeypatch):
+        real = cli.fredholm_det_ft
+
+        def failing(s, T, m, L):
+            if s != 0.0:  # the target of s = 1
+                raise BreakdownError("det(I - K) is not positive")
+            return real(s, T, m, L)
+
+        monkeypatch.setattr(cli, "fredholm_det_ft", failing)
+        records = run_theorem1(LabConfig(self.CFG))
+        rows = {r.params: r for r in records if r.study == "theorem1"}
+        assert len(rows) == 4
+        for n in self.CFG["n_list"]:
+            assert rows[(n, 1.0)].verdict == "failed"
+            assert "not positive" in rows[(n, 1.0)].aux["error"]
+            assert rows[(n, 0.0)].verdict == "pass"
+        summary = [r.params for r in records if r.study == "theorem1-summary"]
+        assert summary == [(0.0,)]
+
+    def test_process_pool_writes_the_same_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        codes = [main(["theorem1", "--config", cfg, "--out", str(tmp_path / w), "--workers", w])
+                 for w in ("1", "2")]
+        assert codes[0] == codes[1]
+        assert codes[0] in (0, 1)
+        a = (tmp_path / "1" / "theorem1.csv").read_bytes()
+        b = (tmp_path / "2" / "theorem1.csv").read_bytes()
+        assert a == b
 
 
 class TestMain:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from airylab.errors import DomainError
+from airylab.errors import BlowUpError, DomainError
 from airylab.fredholm import fredholm_det_ft
 from airylab.idpii import (interp_I, interp_P, interp_phi, k_infinity,
                            solve_idpii, tw_local_check, tw_windowed_integral)
@@ -14,6 +14,17 @@ def _trapezoid(y, x):
     """Composite trapezoid rule (np.trapz is gone in numpy 2; np.trapezoid is not in 1.24)."""
     y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
     return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+def _simpson_trapezoid(y, h):
+    """Composite Simpson on the first odd number of samples, closed by a
+    trapezoid on the last interval when the number of samples is even."""
+    n = y.size
+    m = n if n % 2 else n - 1
+    total = (h / 3.0) * (y[0] + y[m - 1] + 4.0 * y[1:m - 1:2].sum() + 2.0 * y[2:m - 1:2].sum())
+    if m < n:
+        total += 0.5 * h * (y[-2] + y[-1])
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +88,35 @@ class TestSolver:
         assert sol.truncation_flags.shape == sol.S_grid.shape
         loose = solve_idpii(1.0, n_steps=200, store_stride=4, guard_tol=1.0)
         assert not np.any(loose.truncation_flags)
+
+    @pytest.mark.parametrize("h_xi, n_xi", [(0.05, 301), (0.04, 376)])
+    def test_integral_term_matches_simpson_oracle(self, h_xi, n_xi):
+        # a window narrow enough that Phi^2 w is far from zero at both ends
+        # once S is low, so every weight of the quadrature shows in I(S)
+        s = solve_idpii(1.0, xi_lo=-10.0, xi_hi=5.0, h_xi=h_xi, n_steps=400)
+        assert s.xi_grid.size == n_xi
+        w = fermi_weight(s.xi_grid)
+        for j in range(s.S_grid.size):
+            ref = _simpson_trapezoid(s.Phi[j] ** 2 * w, h_xi)
+            assert s.I_of_S[j] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_low_temperature_data_grows_from_the_far_tail(self):
+        # at T = 1/16 the starting arguments T^{2/3} xi + S_max T^{-1/3} pass 30
+        # for xi > -1.3; the march down to S = 0 lowers them by 12 T^{-1/3} ~ 30,
+        # so starting data near Ai(30) ~ 3e-110 grows to O(1) and must be kept
+        T = 1.0 / 16.0
+        s = solve_idpii(T)
+        xi = np.linspace(-2.0, 2.0, 9)
+        airy = T ** (1.0 / 6.0) * airy_ai(T ** (2.0 / 3.0) * xi)
+        assert np.allclose(interp_phi(s, xi, 0.0), airy, rtol=0.1, atol=0.0)
+        fine = solve_idpii(T, h_xi=0.02, n_steps=5600, store_stride=8)
+        assert interp_I(s, 0.0) == pytest.approx(interp_I(fine, 0.0), rel=1e-3)
+
+    def test_blowup_guard_names_solver_and_step(self):
+        # a step of 10 in S overflows Phi within a few steps
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="id-PII") as exc:
+            solve_idpii(1.0, S_min=-400.0, n_steps=40, store_stride=4)
+        assert exc.value.step is not None
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

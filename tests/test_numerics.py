@@ -93,6 +93,20 @@ class TestPanels:
         scheme = PanelScheme(np.linspace(0, np.pi, 9), gauss_legendre(16))
         assert integrate_panels(np.sin, scheme) == pytest.approx(2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_panel_sums_added_left_to_right_in_integrand_type(self, dtype):
+        scheme = PanelScheme(np.linspace(0, np.pi, 9), gauss_legendre(16))
+
+        def f(x):
+            return np.sin(x.astype(dtype))
+
+        ref = dtype(0.0)
+        for p in (f(scheme.nodes) * scheme.weights).reshape(-1, 16).sum(axis=1):
+            ref += p
+        total = integrate_panels(f, scheme)
+        assert total.dtype == dtype
+        assert total == ref
+
     def test_integrate_rejects_nonfinite(self):
         scheme = PanelScheme([0.0, 1.0], gauss_legendre(4))
         with pytest.raises(DomainError):
