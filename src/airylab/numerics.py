@@ -69,16 +69,31 @@ class QuadratureRule:
         return self.nodes.size
 
 
+_RULES = {}
+
+
 def gauss_legendre(m, tol=1e-15, max_iter=100):
     """Gauss-Legendre rule with m nodes on [-1, 1].
 
     Nodes are the roots of the degree-m Legendre polynomial, located by a
     vectorized Newton iteration started from Chebyshev-angle guesses; weights
     come from the derivative identity w_i = 2 / ((1 - x_i^2) P'_m(x_i)^2).
+    Each rule is built once and then shared by every caller, so its nodes and
+    weights are read-only.
     """
     m = int(m)
     if m < 1:
         raise DomainError(f"need at least one node, got m={m}")
+    key = (m, tol, max_iter)
+    if key not in _RULES:
+        rule = _legendre_rule(m, tol, max_iter)
+        rule.nodes.setflags(write=False)
+        rule.weights.setflags(write=False)
+        _RULES[key] = rule
+    return _RULES[key]
+
+
+def _legendre_rule(m, tol, max_iter):
     if m == 1:
         return QuadratureRule([0.0], [2.0])
     k = np.arange(m)

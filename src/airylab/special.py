@@ -1,12 +1,15 @@
 """Special functions: Airy Ai and Ai', the Fermi weight, and polylog-type integrals.
 
-The Airy pair is evaluated from scratch: an extended-precision Maclaurin series
-on a central window, Poincare-type asymptotic expansions outside it, and on
-(4, 8], where neither is accurate to double precision, Taylor expansions about
-a table of anchors obtained from the Airy equation itself.  The
-polylog-type integrals F_beta(y) = int_0^inf v^beta log(1+e^{-y-v}) dv come in
-two independent routes (direct quadrature and an accelerated alternating
-series) so each can serve as the other's oracle.
+Ai and Ai' are served on [-_DOMAIN, _AI_CUT] from one Taylor table: anchors
+every _H, and about each anchor the Taylor coefficients that the Airy equation
+Ai'' = x Ai gives from the anchor's Ai and Ai'.  Those anchor values are
+computed once, at import, in long double: by Poincare-type asymptotic
+expansions far out on either side, the Maclaurin series in the middle, and
+Taylor marches in between.  At run time the positive asymptotic expansion
+serves (_AI_CUT, _DOMAIN] and nothing else.  The polylog-type integrals
+F_beta(y) = int_0^inf v^beta log(1+e^{-y-v}) dv come in two independent routes
+(direct quadrature and an accelerated alternating series) so each can serve as
+the other's oracle.
 """
 
 import math
@@ -16,26 +19,40 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .numerics import RULE16, PanelScheme, integrate_panels
 
-# Ai(0) and -Ai'(0) to more digits than long double carries.
+# Ai(0), -Ai'(0) and pi to more digits than long double carries.
 _AI0 = np.longdouble("0.355028053887817239260063186004183176398")
 _AIP0 = np.longdouble("0.258819403792806798405183560188858261013")
+_PI = np.longdouble("3.14159265358979323846264338327950288420")
 
-# series is used on [-SERIES_NEG, SERIES_POS], the Taylor table on
-# (SERIES_POS, ASY_POS], asymptotics beyond.
-_SERIES_POS = 4.0
-_SERIES_NEG = 9.0
-_ASY_POS = 8.0
 _DOMAIN = 200.0
-_N_SERIES = 72
-_N_ASY = 40
-_TAYLOR_H = 1.0 / 16.0
-_N_TAYLOR = 24
 # Ai(30) ~ 3e-110: beyond this Ai and Ai' count as zero in every kernel, and
-# mapped Nystrom nodes may lie far past |x| <= _DOMAIN
+# mapped Nystrom nodes may lie far past |x| <= _DOMAIN.  It is also the top of
+# the table, so every kernel value comes from the table.
 _AI_CUT = 30.0
 # Ai and Ai' underflow to 0.0 in float64 from 108 on.  Data amplified later
 # (the id-PII march takes Ai(30) to O(1) at T = 1/16) may be zeroed only there
 _AI_ZERO = 108.0
+# the table: anchors -_DOMAIN + j _H up to _AI_CUT, _N_TAYLOR terms about each
+_H = 1.0 / 16.0
+_N_TAYLOR = 20
+_BLOCK = 16384
+# anchor values, in long double: the negative asymptotic expansion up to
+# _ASY_NEG, a Taylor march up from it to _SERIES_NEG, the Maclaurin series on
+# [_SERIES_NEG, _SERIES_POS], a march down to it from _ASY_POS (Ai grows
+# downwards, so the march keeps relative accuracy), and the positive asymptotic
+# expansion from _ASY_POS on, where its remainder is below 1e-24.  Against
+# 40-digit values they are within 5e-17 of the oscillation amplitude
+# |x|^{-1/4}/sqrt(pi) on [_ASY_NEG, 0) and of |Ai| on [0, _AI_CUT]; far out
+# on the negative side the phase (2/3)|x|^{3/2}, up to ~1900, carries the
+# long-double rounding of its size (1.3e-16 at x = -150).
+_ASY_NEG = -13.0
+_SERIES_NEG = -6.0
+_SERIES_POS = 2.0
+_ASY_POS = 12.0
+_MARCH_STEP = 0.5
+_N_MARCH = 40
+_N_SERIES = 72
+_N_ASY = 40
 
 
 def _series_coeffs():
@@ -55,13 +72,13 @@ _F_COEF, _G_COEF = _series_coeffs()
 
 def _asy_coeffs():
     """u_k and v_k of the Airy asymptotic expansions, k = 0.._N_ASY-1."""
-    u = np.empty(_N_ASY)
-    v = np.empty(_N_ASY)
+    u = np.empty(_N_ASY, dtype=np.longdouble)
+    v = np.empty(_N_ASY, dtype=np.longdouble)
     u[0] = 1.0
     v[0] = 1.0
     for k in range(_N_ASY - 1):
         # u_{k+1}/u_k = (6k+1)(6k+3)(6k+5) / (216 (k+1) (2k+1))
-        u[k + 1] = u[k] * (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (216.0 * (k + 1) * (2 * k + 1))
+        u[k + 1] = u[k] * ((6 * k + 1) * (6 * k + 3) * (6 * k + 5)) / (216 * (k + 1) * (2 * k + 1))
         v[k + 1] = u[k + 1] * (6 * (k + 1) + 1) / (1 - 6 * (k + 1))
     return u, v
 
@@ -70,8 +87,8 @@ _U_COEF, _V_COEF = _asy_coeffs()
 
 
 def _airy_series(x):
-    """Maclaurin evaluation in long double on the central window."""
-    xl = x.astype(np.longdouble)
+    """Maclaurin evaluation in long double (an anchor generator)."""
+    xl = np.asarray(x, dtype=np.longdouble)
     y = xl * xl * xl
     accf = np.full_like(xl, _F_COEF[-1])
     accg = np.full_like(xl, _G_COEF[-1])
@@ -86,9 +103,7 @@ def _airy_series(x):
     g = xl * accg
     fp = np.where(xl != 0, accfp / np.where(xl == 0, 1, xl), 0.0)
     gp = accgp
-    ai = _AI0 * f - _AIP0 * g
-    aip = _AI0 * fp - _AIP0 * gp
-    return ai.astype(float), aip.astype(float)
+    return _AI0 * f - _AIP0 * g, _AI0 * fp - _AIP0 * gp
 
 
 def _asy_sum(zeta, coef, parity=None):
@@ -96,137 +111,168 @@ def _asy_sum(zeta, coef, parity=None):
 
     parity='even' / 'odd' restricts to even or odd k (with the sign pattern
     (-1)^j for the j-th retained term), as needed on the oscillatory side.
+    Sums in the float type of zeta; the powers are a running product.
     """
-    if parity is None:
-        ks = np.arange(_N_ASY)
-    elif parity == "even":
-        ks = np.arange(0, _N_ASY, 2)
-    else:
-        ks = np.arange(1, _N_ASY, 2)
+    first = {None: 0, "even": 0, "odd": 1}[parity]
+    stride = 1 if parity is None else 2
+    coef = coef.astype(zeta.dtype)
+    inv = 1 / zeta
+    power = inv ** first
+    step = inv ** stride
     total = np.zeros_like(zeta)
     active = np.ones(zeta.shape, dtype=bool)
-    prev = np.full(zeta.shape, np.inf)
-    for j, k in enumerate(ks):
-        term = coef[k] * zeta ** (-float(k))
-        grown = np.abs(term) > prev
-        active &= ~grown
-        total = np.where(active, total + (-1.0) ** j * term, total)
+    prev = np.full_like(zeta, np.inf)
+    for j, k in enumerate(range(first, _N_ASY, stride)):
+        term = coef[k] * power
+        active &= np.abs(term) <= prev
+        total = np.where(active, total + (-1) ** j * term, total)
         prev = np.where(active, np.abs(term), prev)
+        power = power * step
     return total
 
 
 def _airy_asy_pos(x):
-    zeta = (2.0 / 3.0) * x ** 1.5
-    pre = np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x ** 0.25)
-    ai = pre * _asy_sum(zeta, _U_COEF)
-    aip = -(x ** 0.25) * np.exp(-zeta) / (2.0 * np.sqrt(np.pi)) * _asy_sum(zeta, _V_COEF)
-    return ai, aip
+    """Ai and Ai' for large positive x, in the float type of x."""
+    x = np.asarray(x)
+    zeta = 2 * x * np.sqrt(x) / 3
+    two_sqrt_pi = 2 * np.sqrt(x.dtype.type(_PI))
+    e = np.exp(-zeta)
+    x4 = np.sqrt(np.sqrt(x))
+    return (e / (two_sqrt_pi * x4) * _asy_sum(zeta, _U_COEF),
+            -x4 * e / two_sqrt_pi * _asy_sum(zeta, _V_COEF))
 
 
 def _airy_asy_neg(x):
-    z = -x
-    zeta = (2.0 / 3.0) * z ** 1.5
-    phase = zeta - 0.25 * np.pi
+    """Ai and Ai' for large negative x, in the float type of x.
+
+    The phase (2/3)|x|^{3/2} - pi/4 reaches about 1900 at -_DOMAIN, so it is
+    rounded to the float type of x, not to float64, before the cosine.
+    """
+    z = -np.asarray(x)
+    pi = z.dtype.type(_PI)
+    zeta = 2 * z * np.sqrt(z) / 3
+    phase = zeta - pi / 4
     c, s = np.cos(phase), np.sin(phase)
     p_even = _asy_sum(zeta, _U_COEF, parity="even")
     p_odd = _asy_sum(zeta, _U_COEF, parity="odd")
     q_even = _asy_sum(zeta, _V_COEF, parity="even")
     q_odd = _asy_sum(zeta, _V_COEF, parity="odd")
-    ai = (c * p_even + s * p_odd) / (np.sqrt(np.pi) * z ** 0.25)
-    aip = (z ** 0.25 / np.sqrt(np.pi)) * (s * q_even - c * q_odd)
-    return ai, aip
+    sqrt_pi = np.sqrt(pi)
+    z4 = np.sqrt(np.sqrt(z))
+    return (c * p_even + s * p_odd) / (sqrt_pi * z4), (z4 / sqrt_pi) * (s * q_even - c * q_odd)
 
 
-def _taylor_coeffs(c, ai, aip):
-    """Taylor coefficients of Ai about the centres c, from Ai'' = x Ai.
+def _taylor_coeffs(c, ai, aip, n):
+    """Taylor coefficients a_0..a_{n-1} of Ai about the centres c, from Ai'' = x Ai.
 
     a_0 = Ai(c), a_1 = Ai'(c), a_{k+2} = (c a_k + a_{k-1}) / ((k+2)(k+1)).
-    Returns a long-double array of shape c.shape + (_N_TAYLOR,).
+    Returns an array of shape (n,) + c.shape in the float type of the inputs.
     """
-    a = np.zeros(np.shape(c) + (_N_TAYLOR,), dtype=np.longdouble)
-    a[..., 0] = ai
-    a[..., 1] = aip
-    a[..., 2] = c * ai / 2
-    for k in range(1, _N_TAYLOR - 2):
-        a[..., k + 2] = (c * a[..., k] + a[..., k - 1]) / ((k + 2) * (k + 1))
-    return a
+    a = [ai, aip, c * ai / 2]
+    for k in range(1, n - 2):
+        a.append((c * a[k] + a[k - 1]) / ((k + 2) * (k + 1)))
+    return np.array(a)
 
 
-def _taylor_table():
-    """Coefficients about the anchors _SERIES_POS + j h, j = 0..n.
+def _taylor_shift(c, ai, aip, t):
+    """Ai and Ai' at c + t from their values at c, by _N_MARCH Taylor terms.
 
-    The anchors are reached by stepping the Taylor expansion backwards from
-    the asymptotic value at _ASY_POS.  Going down, Ai is the growing solution
-    of Ai'' = x Ai, so the rounding errors stay relative to Ai (in long
-    double for margin).
+    For a scalar t the result has the shape of c; for a 1-d array of offsets
+    it has shape t.shape + c.shape, every offset applied to every centre.
     """
-    n = int(round((_ASY_POS - _SERIES_POS) / _TAYLOR_H))
-    centres = _SERIES_POS + _TAYLOR_H * np.arange(n + 1, dtype=np.longdouble)
-    powers = (-np.longdouble(_TAYLOR_H)) ** np.arange(_N_TAYLOR)
-    k = np.arange(1, _N_TAYLOR)
-    ai = np.empty(n + 1, dtype=np.longdouble)
-    aip = np.empty(n + 1, dtype=np.longdouble)
-    ai0, aip0 = _airy_asy_pos(np.array([_ASY_POS]))
-    ai[n], aip[n] = ai0[0], aip0[0]
-    for j in range(n, 0, -1):
-        a = _taylor_coeffs(centres[j], ai[j], aip[j])
-        ai[j - 1] = np.sum(a * powers)
-        aip[j - 1] = np.sum(k * a[1:] * powers[:-1])
-    a = _taylor_coeffs(centres, ai, aip)
-    return a.astype(float), (k * a[:, 1:]).astype(float)
+    a = _taylor_coeffs(c, ai, aip, _N_MARCH)
+    k = np.arange(_N_MARCH)
+    p = np.asarray(t, dtype=np.longdouble)[..., None] ** k
+    dp = np.zeros_like(p)
+    dp[..., 1:] = k[1:] * p[..., :-1]
+    return p @ a, dp @ a
 
 
-_TAYLOR_AI, _TAYLOR_AIP = _taylor_table()
+def _airy_table():
+    """Taylor coefficients about every anchor, as float64 (term, anchor) arrays.
+
+    Row k of the first array holds a_k, of the second (k+1) a_{k+1}, so a
+    Horner step gathers one contiguous row.  Ai and Ai' are first found in
+    long double on a coarse grid of step _MARCH_STEP, over which the Taylor
+    series converges, and each anchor is one Taylor shift from its nearest
+    coarse point.  Only then are they rounded: the higher coefficients follow
+    in float64, where their rounding is far below that of a_0 and a_1, since
+    |a_k t^k| falls off like (sqrt|c| |t|)^k / k! with |t| <= _H / 2.
+    """
+    ratio = int(round(_MARCH_STEP / _H))
+    n = int(round((_AI_CUT + _DOMAIN) / _MARCH_STEP))
+    coarse = -_DOMAIN + _MARCH_STEP * np.arange(n + 1, dtype=np.longdouble)
+    ai = np.empty_like(coarse)
+    aip = np.empty_like(coarse)
+    for lo, hi, gen in [(-np.inf, _ASY_NEG, _airy_asy_neg),
+                        (_SERIES_NEG, _SERIES_POS, _airy_series),
+                        (_ASY_POS, np.inf, _airy_asy_pos)]:
+        mask = (coarse >= lo) & (coarse <= hi)
+        ai[mask], aip[mask] = gen(coarse[mask])
+    # march across the gaps between the generators: up from _ASY_NEG, down from _ASY_POS
+    idx = np.searchsorted(coarse, [_ASY_NEG, _SERIES_NEG, _SERIES_POS, _ASY_POS])
+    for path in (range(idx[0], idx[1]), range(idx[3], idx[2], -1)):
+        for i, j in zip(path, path[1:]):
+            ai[j], aip[j] = _taylor_shift(coarse[i], ai[i], aip[i], coarse[j] - coarse[i])
+    offsets = _H * (np.arange(ratio) - ratio // 2)
+    fine = [v.T.ravel()[ratio // 2:ratio // 2 + ratio * n + 1].astype(float)
+            for v in _taylor_shift(coarse, ai, aip, offsets)]
+    c = -_DOMAIN + _H * np.arange(ratio * n + 1)
+    a = _taylor_coeffs(c, *fine, _N_TAYLOR)
+    return a, np.arange(1, _N_TAYLOR)[:, None] * a[1:]
 
 
-def _airy_taylor(x):
-    """Taylor evaluation about the nearest anchor (|x - c| <= h/2)."""
-    j = np.rint((x - _SERIES_POS) / _TAYLOR_H).astype(int)
-    t = x - (_SERIES_POS + _TAYLOR_H * j)
-    ai = _TAYLOR_AI[j, -1]
-    for k in range(_N_TAYLOR - 2, -1, -1):
-        ai = ai * t + _TAYLOR_AI[j, k]
-    aip = _TAYLOR_AIP[j, -1]
-    for k in range(_N_TAYLOR - 3, -1, -1):
-        aip = aip * t + _TAYLOR_AIP[j, k]
-    return ai, aip
+_TABLE_AI, _TABLE_AIP = _airy_table()
 
 
-def _airy_pair(x):
+def _from_table(table, x):
+    """Horner sum about the nearest anchor, for x in [-_DOMAIN, _AI_CUT].
+
+    Runs over blocks of _BLOCK points, so that the few working arrays of a
+    block stay in cache (on a 2-core Xeon, 4 MiB L2, it halves the time of a
+    pass over 2.6e5 points).
+    """
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _BLOCK):
+        xb = flat[i:i + _BLOCK]
+        j = ((xb + (_DOMAIN + 0.5 * _H)) * (1.0 / _H)).astype(np.intp)
+        t = xb - (j * _H - _DOMAIN)
+        acc = table[-1].take(j)
+        for row in table[-2::-1]:
+            acc *= t
+            acc += row.take(j)
+        out[i:i + _BLOCK] = acc
+    return out.reshape(x.shape)
+
+
+def _airy(x, prime):
+    """Ai(x), or Ai'(x) if prime, for |x| <= _DOMAIN (vectorized)."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
     xf = np.atleast_1d(x)
-    if not np.all(np.isfinite(xf)):
-        raise DomainError("Airy argument must be finite")
-    if np.any(np.abs(xf) > _DOMAIN):
+    if xf.size and not (xf.min() >= -_DOMAIN and xf.max() <= _DOMAIN):
+        if not np.all(np.isfinite(xf)):
+            raise DomainError("Airy argument must be finite")
         raise DomainError(f"Airy argument out of supported range |x| <= {_DOMAIN}")
-    ai = np.empty_like(xf)
-    aip = np.empty_like(xf)
-    mid = (xf >= -_SERIES_NEG) & (xf <= _SERIES_POS)
-    fill = (xf > _SERIES_POS) & (xf <= _ASY_POS)
-    pos = xf > _ASY_POS
-    neg = xf < -_SERIES_NEG
-    if np.any(mid):
-        ai[mid], aip[mid] = _airy_series(xf[mid])
-    if np.any(fill):
-        ai[fill], aip[fill] = _airy_taylor(xf[fill])
-    if np.any(pos):
-        ai[pos], aip[pos] = _airy_asy_pos(xf[pos])
-    if np.any(neg):
-        ai[neg], aip[neg] = _airy_asy_neg(xf[neg])
-    if scalar:
-        return ai[0], aip[0]
-    return ai, aip
+    table = _TABLE_AIP if prime else _TABLE_AI
+    far = xf > _AI_CUT
+    if np.any(far):
+        out = np.empty_like(xf)
+        out[~far] = _from_table(table, xf[~far])
+        out[far] = _airy_asy_pos(xf[far])[1 if prime else 0]
+    else:
+        out = _from_table(table, xf)
+    return out[0] if x.ndim == 0 else out
 
 
 def airy_ai(x):
     """Airy function Ai(x) for |x| <= 200 (vectorized)."""
-    return _airy_pair(x)[0]
+    return _airy(x, prime=False)
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x) for |x| <= 200 (vectorized)."""
-    return _airy_pair(x)[1]
+    return _airy(x, prime=True)
 
 
 def _airy_cut(x, prime=False, cut=_AI_CUT):

@@ -169,6 +169,25 @@ class TestTheorem1Target:
         assert a == b
 
 
+class TestCrosscheckDeterminants:
+    def test_each_determinant_computed_once(self, monkeypatch):
+        # with fredholm_m = 80 the convergence table and the twlocal stencil
+        # share (s, T, m) = (0, 1, 80) and (-1, 1, 80); the stencil asks for
+        # s = -(0 + 0 * 0.05) = -0.0, the same determinant as s = 0.0.  So 9
+        # (s, T) pairs at m = 40 and 80 and 10 stencil points, 2 of them shared
+        calls = []
+        real = cli.fredholm_det_ft
+
+        def counting(s, T, m, L):
+            calls.append((s, T, m, L))
+            return real(s, T, m, L)
+
+        monkeypatch.setattr(cli, "fredholm_det_ft", counting)
+        records = cli.run_crosschecks(LabConfig({}))
+        assert len(calls) == len(set(calls)) == 9 * 2 + 10 - 2
+        assert {r.study for r in records} >= {"crosscheck-fredholm", "crosscheck-twlocal"}
+
+
 class TestMain:
     def test_eqmeasure_exit_zero(self, tmp_path):
         code = main(["eqmeasure", "--out", str(tmp_path)])

@@ -83,6 +83,17 @@ class TestGaussLegendre:
         with pytest.raises(DomainError):
             gauss_legendre(0)
 
+    def test_rule_built_once_and_read_only(self):
+        r = gauss_legendre(37)
+        assert gauss_legendre(37) is r and gauss_legendre(37.0) is r
+        before = r.nodes.copy()
+        for arr in (r.nodes, r.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        assert np.array_equal(gauss_legendre(37).nodes, before)
+
 
 class TestPanels:
     def test_breakpoints_must_increase(self):

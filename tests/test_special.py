@@ -63,8 +63,8 @@ class TestAiry:
         assert fd == pytest.approx(airy_ai_prime(x), rel=1e-6, abs=1e-9)
 
     def test_branch_overlap_consistency(self):
-        # series and asymptotic evaluations agree at x = 5.5 (now inside the
-        # Taylor window (4, 8]) and at the negative switchover x = -9
+        # the series and the asymptotic expansions, which now only generate
+        # the table's anchors, agree at x = 5.5 and x = -9
         from airylab.special import _airy_asy_neg, _airy_asy_pos, _airy_series
         x = np.array([5.5])
         assert abs(_airy_series(x)[0][0] - _airy_asy_pos(x)[0][0]) < 1e-11
@@ -82,6 +82,58 @@ class TestAiry:
                         for x in xs])
         assert np.max(np.abs(airy_ai(xs) / ref[:, 0] - 1.0)) <= 1e-13
         assert np.max(np.abs(airy_ai_prime(xs) / ref[:, 1] - 1.0)) <= 1e-13
+
+    def test_no_stencil_noise_near_negative_zeros(self):
+        # the stencil and tolerance of test_airy_differential_equation on a
+        # dense grid: near the zeros of Ai the tolerance is ~2e-16 absolute,
+        # so rounding noise in the phase or steps between neighbouring
+        # evaluation routes show up here
+        x = np.linspace(-28.0, -6.0, 20001)
+        h = 1e-3
+        st = [airy_ai(x + h * k) for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        d2 = (-st[0] + 16 * st[1] - 30 * st[2] + 16 * st[3] - st[4]) / (12 * h * h)
+        scale = np.maximum(np.abs(x * st[2]), 1e-3)
+        bad = np.abs(d2 - x * st[2]) > 1e-6 * scale
+        assert not np.any(bad), f"{bad.sum()} failures, first at {x[bad][:3]}"
+
+    def test_whole_line_accuracy(self):
+        # error in units of the oscillation amplitude for x < 0 (|x|^{-1/4}/sqrt(pi)
+        # for Ai, |x|^{1/4}/sqrt(pi) for Ai'), relative for x >= 0; a fixed
+        # sample of the whole domain plus the seams between the anchor
+        # generators (-13, -6, 2, 12), the top of the table (30) and the
+        # former branch switches (-9, 4, 8)
+        mpmath = pytest.importorskip("mpmath")
+        seams = (-13.0, -9.0, -6.0, 2.0, 4.0, 8.0, 12.0, 30.0)
+        near = [c + d for c in seams
+                for d in (-0.25, -1 / 32, -1e-9, 0.0, 1e-9, 1 / 32, 0.25)]
+        xs = np.concatenate([np.random.default_rng(20240611).uniform(-200.0, 30.0, 400), near])
+        with mpmath.workdps(30):
+            ref = np.array([[float(mpmath.airyai(x, derivative=d)) for d in (0, 1)]
+                            for x in xs])
+        z = np.abs(xs)
+        neg = xs < 0
+        amp = np.where(neg, z ** -0.25 / np.sqrt(np.pi), np.abs(ref[:, 0]))
+        amp_prime = np.where(neg, z ** 0.25 / np.sqrt(np.pi), np.abs(ref[:, 1]))
+        assert np.max(np.abs(airy_ai(xs) - ref[:, 0]) / amp) <= 1e-13
+        assert np.max(np.abs(airy_ai_prime(xs) - ref[:, 1]) / amp_prime) <= 1e-13
+
+    def test_only_the_requested_function_is_summed(self, monkeypatch):
+        # the Nystrom kernels need Ai alone: no Ai' is computed for them
+        from airylab import special
+        real = special._from_table
+        tables = []
+
+        def spy(table, x):
+            tables.append(table is special._TABLE_AIP)
+            return real(table, x)
+
+        monkeypatch.setattr(special, "_from_table", spy)
+        x = np.linspace(-20.0, 40.0, 61)
+        special._airy_cut(x)
+        assert tables == [False]
+        tables.clear()
+        special._airy_cut(x, prime=True)
+        assert tables == [True]
 
     def test_domain_limits(self):
         with pytest.raises(DomainError):
