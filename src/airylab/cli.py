@@ -15,6 +15,7 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 configuration error,
 import argparse
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -173,9 +174,18 @@ def _summary(study, s, pairs, bound, h):
                         "pass" if decreasing and slope <= bound else "fail", h)
 
 
+@functools.lru_cache(maxsize=None)
+def _equilibrium(*coeffs):
+    """The equilibrium of the potential with these coefficients, built once per process.
+
+    Every study point of the process shares the one object; none modifies it.
+    """
+    return build_equilibrium(Potential(coeffs))
+
+
 def _setup(cfg):
     """Equilibrium, deformation Q and effective t = -Q'(0) / c_V of a configuration."""
-    eq = build_equilibrium(Potential(cfg.potential))
+    eq = _equilibrium(*cfg.potential)
     Q = DeformationQ(cfg.deformation)
     return eq, Q, Q.t / eq.c_v
 
@@ -386,7 +396,7 @@ def _run_idpii_solve(cfg):
 
 def _run_eqmeasure(cfg):
     h = cfg.hash()
-    eq = build_equilibrium(Potential(cfg.potential))
+    eq = _equilibrium(*cfg.potential)
     recs = [ResultRecord("eqmeasure-data", (), eq.a,
                          {"c_v": eq.c_v, "ell": eq.ell, "shift": eq.shift}, "pass", h)]
     for x in np.linspace(-eq.a, 0.0, 21):

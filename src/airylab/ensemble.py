@@ -211,7 +211,7 @@ def cd_kernel(table, n, x, y):
 def kernel_trace(grid, table, n, log_weight):
     """int K_n(x,x) w(x) dx over the grid; equals n for a consistent table."""
     U = weighted_values(table, n, grid.nodes, 0.5 * np.asarray(log_weight))
-    return float(np.sum(grid.weights * np.sum(U * U, axis=0)))
+    return float(np.sum(grid.weights * np.einsum("ki,ki->i", U, U)))
 
 
 def log_lstat_gamma(table_def, table_und, n):
@@ -221,24 +221,70 @@ def log_lstat_gamma(table_def, table_und, n):
     return float(np.sum(table_def.log_h[:n] - table_und.log_h[:n]))
 
 
+# The deformation matrix drops grid nodes whose summed contribution to its
+# trace stays below this: a thousandth of the rounding unit of an O(1) entry.
+DROP_TOL = 2.0 ** -52 * 1e-3
+
+
+def _smallest_within(c, budget):
+    """Mask of the smallest entries of c whose running sum stays <= budget, and that sum."""
+    order = np.argsort(c)
+    run = np.cumsum(c[order])
+    k = int(np.searchsorted(run, budget, side="right"))
+    mask = np.zeros(c.size, dtype=bool)
+    mask[order[:k]] = True
+    return mask, float(run[k - 1]) if k else 0.0
+
+
+def deformation_matrix(grid, table_und, n, log_sigma_nodes):
+    """M_jk = int Phat_j Phat_k (1 - sigma_n) e^{-nV} dx from the nodes that carry it.
+
+    Node i adds the rank-one term w_i (1 - sigma_i) U[:, i] U[:, i]^T, whose
+    trace is c_i = w_i (1 - sigma_i) sum_k U_ki^2.  Left of the right edge
+    1 - sigma_n dies off within about n^{-2/3}, right of it e^{-nV} does, so
+    most c_i are negligible.  The smallest c_i are dropped while their running
+    sum stays <= DROP_TOL; orthonormality on the grid gives w_i U_ki^2 <= 1,
+    so c_i <= n (1 - sigma_i), and half of DROP_TOL goes first to nodes this
+    bound alone rules out, before U is formed on them.  M = V V^T with
+    V = U[:, kept] sqrt(w (1 - sigma))[kept] is one symmetric rank-k product
+    (BLAS SYRK: half the flops of a general product, exactly symmetric).
+
+    Returns M and `dropped`, an upper bound on the trace of the positive
+    semidefinite part D left out, so that M + D is the full-grid matrix.
+    """
+    one_minus_sigma = -np.expm1(np.asarray(log_sigma_nodes, dtype=float))
+    ruled_out, dropped = _smallest_within(n * one_minus_sigma, 0.5 * DROP_TOL)
+    live = np.flatnonzero(~ruled_out)
+    wd = grid.weights[live] * one_minus_sigma[live]
+    U = weighted_values(table_und, n, grid.nodes[live], 0.5 * grid.log_w_und[live])
+    small, dropped_c = _smallest_within(wd * np.einsum("ki,ki->i", U, U), DROP_TOL - dropped)
+    V = U[:, ~small]
+    V *= np.sqrt(wd[~small])
+    return V @ V.T, dropped + dropped_c
+
+
 def log_lstat_det(grid, table_und, n, log_sigma_nodes, spectrum_tol=1e-8):
     """log L_n as log det(I - M), M the deformation matrix in the undeformed basis.
 
-    M_jk = int Phat_j Phat_k (1 - sigma_n) e^{-nV} dx, assembled from weighted
-    polynomial values on the grid; 1 - sigma is evaluated stably from
-    log sigma.  A spectral guard verifies the (symmetric) M is numerically
-    inside [0, 1) before the determinant is taken.
+    M_jk = int Phat_j Phat_k (1 - sigma_n) e^{-nV} dx, assembled by
+    deformation_matrix from the grid nodes whose contribution is not
+    negligible; 1 - sigma is evaluated stably from log sigma.  The nodes
+    dropped there form a positive semidefinite D with trace(D) <= dropped
+    <= DROP_TOL, and with tau = dropped / (1 - lambda_max(M)) the log-det of
+    the full-grid matrix differs from the one returned by at most
+    tau / (1 - tau), about 2e-19 / (1 - lambda_max(M)).  A spectral guard
+    (one eigvalsh) verifies M is numerically inside [0, 1) before the
+    determinant is taken.
     """
-    one_minus_sigma = -np.expm1(np.asarray(log_sigma_nodes, dtype=float))
-    U = weighted_values(table_und, n, grid.nodes, 0.5 * grid.log_w_und)
-    M = (U * (grid.weights * one_minus_sigma)) @ U.T
-    M = 0.5 * (M + M.T)
+    M, dropped = deformation_matrix(grid, table_und, n, log_sigma_nodes)
     ev = np.linalg.eigvalsh(M)
+    where = (f"log_lstat_det at n={n}: M has spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] "
+             f"after dropping trace {dropped:.3g}")
     if ev[0] < -spectrum_tol or ev[-1] > 1.0 + spectrum_tol:
-        raise BreakdownError("deformation matrix spectrum strayed outside [0, 1)")
+        raise BreakdownError(f"{where}, outside [0, 1)")
     sign, logabs = lu_logdet(np.eye(n) - M)
     if sign <= 0:
-        raise BreakdownError("det(I - M) is not positive")
+        raise BreakdownError(f"{where}, and det(I - M) is not positive")
     return logabs
 
 

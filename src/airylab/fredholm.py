@@ -78,18 +78,23 @@ class NystromOperator:
         self.sqrt_weights = sqrt_weights
         self.kernel_matrix = kernel_matrix
 
+    def _where(self):
+        return f"Nystrom determinant at s={self.s}, T={self.T}, m={self.m}"
+
     def check(self, sym_tol=1e-12, eig_tol=1e-8):
         K = self.kernel_matrix
-        if np.max(np.abs(K - K.T)) > sym_tol:
-            raise BreakdownError("kernel matrix lost symmetry")
+        asym = np.max(np.abs(K - K.T))
+        if asym > sym_tol:
+            raise BreakdownError(f"{self._where()}: kernel matrix lost symmetry ({asym:.3g})")
         ev = np.linalg.eigvalsh(0.5 * (K + K.T))
         if ev[0] < -eig_tol or ev[-1] > 1.0 + eig_tol:
-            raise BreakdownError("kernel matrix spectrum outside [0, 1]")
+            raise BreakdownError(f"{self._where()}: kernel matrix spectrum "
+                                 f"[{ev[0]:.6g}, {ev[-1]:.6g}] outside [0, 1]")
 
     def logdet(self):
         sign, logabs = lu_logdet(np.eye(self.m) - self.kernel_matrix)
         if sign <= 0:
-            raise BreakdownError("det(I - K) is not positive")
+            raise BreakdownError(f"{self._where()}: det(I - K) is not positive")
         return logabs
 
 

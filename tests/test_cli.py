@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from airylab import cli
+from airylab import cli, fredholm
 from airylab.cli import (ConfigError, LabConfig, ResultRecord, emit, main,
                          parse_config, run_theorem1)
 from airylab.errors import BreakdownError
@@ -118,6 +118,25 @@ class TestRunners:
         assert len(summary) == 1
         assert all(r.config_hash == cfg.hash() for r in records)
 
+    def test_equilibrium_built_once_per_potential(self, monkeypatch):
+        built = []
+        real = cli.build_equilibrium
+
+        def counting(V):
+            built.append(tuple(V.poly.coeffs))
+            return real(V)
+
+        monkeypatch.setattr(cli, "build_equilibrium", counting)
+        cli._equilibrium.cache_clear()
+        try:
+            run_theorem1(LabConfig({"n_list": [4, 8], "s_list": [0.0, 1.0],
+                                    "fredholm_m": 40}))
+            run_theorem1(LabConfig({"n_list": [4], "s_list": [0.0], "fredholm_m": 40,
+                                    "potential": [0.0, 0.0, 0.5, 0.0, 0.05]}))
+        finally:
+            cli._equilibrium.cache_clear()
+        assert built == [(2.0, 4.0, 2.0), (0.0, 0.0, 0.5, 0.0, 0.05)]
+
 
 class TestTheorem1Target:
     """The limit det(I - K) does not depend on n: one determinant per s."""
@@ -217,6 +236,13 @@ class TestMain:
         assert code == 0
         data = json.loads((tmp_path / "fredholm.json").read_text())
         assert all(0.0 < float(r["value"]) <= 1.0 for r in data)
+
+    def test_numeric_failure_exit_four_names_the_determinant(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(fredholm, "lu_logdet", lambda a: (-1.0, 0.0))
+        assert main(["fredholm", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "s=0.0, T=1.0, m=80" in err
 
     def test_deterministic_output_bytes(self, tmp_path):
         for sub in ("one", "two"):

@@ -1,15 +1,18 @@
 """Tests for the deformed orthogonal-polynomial ensembles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from airylab import ensemble
 from airylab.ensemble import (DeformationQ, build_grid, build_tables,
-                              cd_kernel, kernel_trace, log_lstat_det,
-                              log_lstat_gamma, log_partition, log_sigma,
-                              norming_ratio, rescaled_edge_kernel,
+                              cd_kernel, deformation_matrix, kernel_trace,
+                              log_lstat_det, log_lstat_gamma, log_partition,
+                              log_sigma, norming_ratio, rescaled_edge_kernel,
                               stieltjes_recurrence, weighted_values)
 from airylab.equilibrium import Potential, build_equilibrium
-from airylab.errors import DomainError
+from airylab.errors import BreakdownError, DomainError
 from airylab.numerics import PanelScheme, gauss_legendre
 
 
@@ -143,6 +146,86 @@ class TestLinearStatistic:
         U = weighted_values(t_def, n, grid.nodes, 0.5 * (grid.log_w_und + lsig))
         direct = float(np.sum(grid.weights * dls * np.sum(U * U, axis=0)))
         assert fd == pytest.approx(direct, rel=1e-4)
+
+
+class TestTrimmedDeformation:
+    """log_lstat_det from the nodes that carry M against the full-grid product."""
+
+    @pytest.fixture(scope="class")
+    def eqs(self, eq_sgue, eq_quartic):
+        return {"gaussian": eq_sgue, "quartic": eq_quartic}
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_full_grid_gemm(self, eqs, q_linear, potential, n):
+        for s in (-3.0, 0.0, 3.0):
+            grid, t_und, _, lsig = build_tables(eqs[potential], q_linear, n, s)
+            U = weighted_values(t_und, n, grid.nodes, 0.5 * grid.log_w_und)
+            full = (U * (grid.weights * -np.expm1(lsig))) @ U.T
+            _, oracle = np.linalg.slogdet(np.eye(n) - full)
+            assert abs(log_lstat_det(grid, t_und, n, lsig) - oracle) <= 1e-14
+            M, dropped = deformation_matrix(grid, t_und, n, lsig)
+            assert np.array_equal(M, M.T)
+            tau = dropped / (1.0 - np.linalg.eigvalsh(M)[-1])
+            assert 0.0 <= tau / (1.0 - tau) <= 1e-15
+
+    def test_drops_most_nodes(self, eq_sgue, q_linear, monkeypatch):
+        n = 256
+        grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
+        calls = []
+        real = ensemble.weighted_values
+
+        def spy(table, n, x, log_w_half):
+            U = real(table, n, x, log_w_half)
+            calls.append(U.shape[1])
+            return U
+
+        monkeypatch.setattr(ensemble, "weighted_values", spy)
+        _, dropped = deformation_matrix(grid, t_und, n, lsig)
+        assert calls and calls[0] < 0.75 * grid.nodes.size
+        assert 0.0 < dropped <= ensemble.DROP_TOL
+
+    def test_peak_memory(self, eq_sgue, q_linear):
+        # one n x N slab of U in kernel_trace, less in log_lstat_det; no
+        # second slab for a product or a transpose
+        n = 256
+        grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
+        slab = n * grid.nodes.size * 8
+        for fn, args, limit in ((log_lstat_det, (grid, t_und, n, lsig), 1.5),
+                                (kernel_trace, (grid, t_und, n, grid.log_w_und), 1.2)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                fn(*args)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * slab, (fn.__name__, peak / slab)
+
+
+class TestDeterminantErrors:
+    """A breakdown names the stage, n, the spectrum of M and the dropped trace."""
+
+    @pytest.fixture
+    def tables(self, eq_sgue, q_linear):
+        return build_tables(eq_sgue, q_linear, 2, 0.0)
+
+    def _message(self, monkeypatch, tables, M):
+        grid, t_und, _, lsig = tables
+        monkeypatch.setattr(ensemble, "deformation_matrix", lambda *args: (M, 1.25e-19))
+        with pytest.raises(BreakdownError) as exc:
+            log_lstat_det(grid, t_und, 2, lsig)
+        msg = str(exc.value)
+        assert "log_lstat_det" in msg and "n=2" in msg and "1.25e-19" in msg
+        return msg
+
+    def test_spectrum_outside_unit_interval(self, monkeypatch, tables):
+        msg = self._message(monkeypatch, tables, np.diag([1.5, 0.2]))
+        assert "[0.2, 1.5]" in msg
+
+    def test_determinant_not_positive(self, monkeypatch, tables):
+        msg = self._message(monkeypatch, tables, np.diag([1.0 + 5e-9, 0.5]))
+        assert "[0.5, 1]" in msg and "not positive" in msg
 
 
 class TestEdgeQuantities:

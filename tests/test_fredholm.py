@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from airylab.errors import DomainError
-from airylab.fredholm import (airy_kernel, build_nystrom, build_nystrom_airy,
-                              fredholm_det_airy, fredholm_det_ft,
-                              ft_airy_kernel)
+from airylab.errors import BreakdownError, DomainError
+from airylab.fredholm import (NystromOperator, airy_kernel, build_nystrom,
+                              build_nystrom_airy, fredholm_det_airy,
+                              fredholm_det_ft, ft_airy_kernel)
 from airylab.special import airy_ai_prime
 
 # Tracy-Widom GUE distribution at the origin, F_2(0), from mesh-refined
@@ -82,6 +82,29 @@ class TestNystromOperator:
         with pytest.raises(DomainError):
             build_nystrom(0.0, 1.0, 1)
 
+
+class TestNystromErrors:
+    """A breakdown names s, T and m of the determinant that broke."""
+
+    WHERE = "s=0.5, T=8.0, m=2"
+
+    def operator(self, K):
+        return NystromOperator(0.5, 8.0, 2, 10.0, np.zeros(2), np.ones(2), np.array(K))
+
+    def test_lost_symmetry(self):
+        with pytest.raises(BreakdownError, match="symmetry") as exc:
+            self.operator([[0.1, 0.2], [0.0, 0.1]]).check()
+        assert self.WHERE in str(exc.value) and "(0.2)" in str(exc.value)
+
+    def test_spectrum_outside_unit_interval(self):
+        with pytest.raises(BreakdownError) as exc:
+            self.operator([[2.0, 0.0], [0.0, 0.5]]).check()
+        assert self.WHERE in str(exc.value) and "[0.5, 2]" in str(exc.value)
+
+    def test_determinant_not_positive(self):
+        with pytest.raises(BreakdownError, match="not positive") as exc:
+            self.operator([[2.0, 0.0], [0.0, 0.5]]).logdet()
+        assert self.WHERE in str(exc.value)
 
 class TestDeterminants:
     def test_tracy_widom_at_zero(self):
