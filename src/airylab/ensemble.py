@@ -62,9 +62,6 @@ class EnsembleGrid:
     """Panel quadrature grid adapted to the weight e^{-n V} of one ensemble."""
 
     def __init__(self, eq, n, scheme):
-        self.eq = eq
-        self.n = n
-        self.scheme = scheme
         self.nodes = scheme.nodes
         self.weights = scheme.weights
         self.log_w_und = -float(n) * eq.V(self.nodes)
@@ -125,16 +122,16 @@ def build_grid(eq, n, core_pad=0.5, tail_panels=20, log_range=400.0):
 
 
 class RecurrenceTable:
-    """Three-term recurrence data: alpha_k and log h_k for k = 0..K-1."""
+    """Three-term recurrence data: alpha_k and log h_k for k = 0..K-1.
+
+    sqrt_beta[k - 1] = sqrt(beta_k) = sqrt(h_k / h_{k-1}) for k = 1..K-1.
+    """
 
     def __init__(self, alpha, log_h):
         self.alpha = np.asarray(alpha, dtype=float)
         self.log_h = np.asarray(log_h, dtype=float)
         self.K = self.alpha.size
-
-    def sqrt_beta(self, k):
-        """sqrt(beta_k) = sqrt(h_k / h_{k-1}) for k >= 1."""
-        return np.exp(0.5 * (self.log_h[k] - self.log_h[k - 1]))
+        self.sqrt_beta = np.exp(0.5 * np.diff(self.log_h))
 
 
 def stieltjes_recurrence(nodes, weights, log_weight, K):
@@ -190,10 +187,10 @@ def weighted_values(table, n, x, log_w_half):
     U = np.empty((n, x.size))
     u_prev = np.zeros_like(x)
     u = np.exp(lwh - 0.5 * table.log_h[0])
+    sb = table.sqrt_beta
     for k in range(n):
         U[k] = u
-        sb_next = table.sqrt_beta(k + 1)
-        u, u_prev = ((x - table.alpha[k]) * u - (table.sqrt_beta(k) if k else 0.0) * u_prev) / sb_next, u
+        u, u_prev = ((x - table.alpha[k]) * u - (sb[k - 1] if k else 0.0) * u_prev) / sb[k], u
     return U
 
 
@@ -274,7 +271,7 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes, spectrum_tol=1e-8):
     the full-grid matrix differs from the one returned by at most
     tau / (1 - tau), about 2e-19 / (1 - lambda_max(M)).  A spectral guard
     (one eigvalsh) verifies M is numerically inside [0, 1) before the
-    determinant is taken.
+    determinant is taken; lambda_max(M) is also what the bound above needs.
     """
     M, dropped = deformation_matrix(grid, table_und, n, log_sigma_nodes)
     ev = np.linalg.eigvalsh(M)
@@ -282,10 +279,7 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes, spectrum_tol=1e-8):
              f"after dropping trace {dropped:.3g}")
     if ev[0] < -spectrum_tol or ev[-1] > 1.0 + spectrum_tol:
         raise BreakdownError(f"{where}, outside [0, 1)")
-    sign, logabs = lu_logdet(np.eye(n) - M)
-    if sign <= 0:
-        raise BreakdownError(f"{where}, and det(I - M) is not positive")
-    return logabs
+    return lu_logdet(np.eye(n) - M, where)
 
 
 def log_partition(table, n):

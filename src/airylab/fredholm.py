@@ -8,15 +8,18 @@ interpolates between the zero operator (T -> 0) and the classical Airy kernel
 (T -> infinity).  The determinants are computed by Nystrom discretization: one
 Gauss-Legendre rule on [0, 1) pushed onto the half line by a map matched to
 the kernel's decay (linear-logarithmic for K_T, which decays like
-e^{-T^{1/3} x}; rational for the classical kernel).  The finite-temperature
-kernel matrix is assembled in one matmul over a shared zeta panel grid, which
-also makes it positive semidefinite by construction.  The map scale L means
-a different thing for each map; see build_nystrom and build_nystrom_airy.
+e^{-T^{1/3} x}; rational for the classical kernel).  build_nystrom and
+build_nystrom_airy return the kernel matrix itself, exactly symmetric by
+construction; the finite-temperature one is a single rank-k product over a
+shared zeta panel grid, so it is also positive semidefinite.  The log-det is
+numerics.lu_logdet, which refuses a determinant that is not positive and
+names the kernel, s, T and m.  The map scale L means a different thing for
+each map; see build_nystrom and build_nystrom_airy.
 """
 
 import numpy as np
 
-from .errors import BreakdownError, DomainError
+from .errors import DomainError
 from .numerics import (RULE16, PanelScheme, gauss_legendre, lu_logdet, map_log_linear,
                        map_semi_infinite)
 from .special import _AI_CUT, _airy_cut, airy_ai, airy_ai_prime, logistic
@@ -66,56 +69,22 @@ def ft_airy_kernel(u, v, T):
     return float(np.sum(f * scheme.weights))
 
 
-class NystromOperator:
-    """Discretized Fredholm operator on L^2(-s, infinity)."""
-
-    def __init__(self, s, T, m, L, nodes, sqrt_weights, kernel_matrix):
-        self.s = s
-        self.T = T
-        self.m = m
-        self.L = L
-        self.nodes = nodes
-        self.sqrt_weights = sqrt_weights
-        self.kernel_matrix = kernel_matrix
-
-    def _where(self):
-        return f"Nystrom determinant at s={self.s}, T={self.T}, m={self.m}"
-
-    def check(self, sym_tol=1e-12, eig_tol=1e-8):
-        K = self.kernel_matrix
-        asym = np.max(np.abs(K - K.T))
-        if asym > sym_tol:
-            raise BreakdownError(f"{self._where()}: kernel matrix lost symmetry ({asym:.3g})")
-        ev = np.linalg.eigvalsh(0.5 * (K + K.T))
-        if ev[0] < -eig_tol or ev[-1] > 1.0 + eig_tol:
-            raise BreakdownError(f"{self._where()}: kernel matrix spectrum "
-                                 f"[{ev[0]:.6g}, {ev[-1]:.6g}] outside [0, 1]")
-
-    def logdet(self):
-        sign, logabs = lu_logdet(np.eye(self.m) - self.kernel_matrix)
-        if sign <= 0:
-            raise BreakdownError(f"{self._where()}: det(I - K) is not positive")
-        return logabs
-
-
-def _half_line_nodes(m, x_of_u, jac):
-    """Gauss-Legendre nodes on [0, 1) pushed through a half-line map."""
+def _half_line_nodes(m, half_line_map, *params):
+    """Nodes and square-root weights of an m-point Gauss-Legendre rule on [0, 1)
+    pushed onto the half line by half_line_map(u, *params) -> (x, dx/du)."""
     if m < 2:
         raise DomainError("need at least two Nystrom nodes")
     rule = gauss_legendre(m)
-    u01 = 0.5 * (rule.nodes + 1.0)
-    w01 = 0.5 * rule.weights
-    x = x_of_u(u01)
-    sw = np.sqrt(w01 * jac(u01))
-    return x, sw
+    x, dx_du = half_line_map(0.5 * (rule.nodes + 1.0), *params)
+    return x, np.sqrt(0.5 * rule.weights * dx_du)
 
 
 def build_nystrom(s, T, m, L=10.0):
-    """Nystrom discretization of the finite-temperature Airy kernel.
+    """Nystrom matrix of the finite-temperature Airy kernel.
 
-    The kernel matrix is B diag(c) B^T with B[i,q] = sqrt_w_i Ai(x_i + zeta_q)
-    and c the zeta quadrature weights times the logistic factor, so it is
-    symmetric positive semidefinite by construction.
+    The matrix is B B^T with B[i,q] = sqrt_w_i Ai(x_i + zeta_q) sqrt(c_q) and
+    c the zeta quadrature weights times the logistic factor: one symmetric
+    rank-k product (BLAS SYRK), exactly symmetric and positive semidefinite.
 
     K_T(x, x) decays like e^{-T^{1/3} x}, so the nodes come from the
     linear-logarithmic map x = -s + a u - (2/T^{1/3}) log(1-u).  The linear
@@ -127,44 +96,42 @@ def build_nystrom(s, T, m, L=10.0):
         raise DomainError("s must satisfy |s| <= 12")
     if not (0 < T <= 8000.0):
         raise DomainError("T must lie in (0, 8000]")
-    x, sw = _half_line_nodes(m, *map_log_linear(s, 0.5 * L + max(s, 0.0),
-                                                2.0 / T ** (1.0 / 3.0)))
+    x, sw = _half_line_nodes(m, map_log_linear, s, 0.5 * L + max(s, 0.0),
+                             2.0 / T ** (1.0 / 3.0))
     scheme = _zeta_scheme(T, float(x[0]))
     z = scheme.nodes
     B = sw[:, None] * _airy_cut(x[:, None] + z[None, :])
-    c = scheme.weights * logistic(T ** (1.0 / 3.0) * z)
-    M = (B * c) @ B.T
-    M = 0.5 * (M + M.T)
-    return NystromOperator(s, T, m, L, x, sw, M)
+    B *= np.sqrt(scheme.weights * logistic(T ** (1.0 / 3.0) * z))
+    return B @ B.T
 
 
 def build_nystrom_airy(s, m, L=10.0):
-    """Nystrom discretization of the classical Airy kernel.
+    """Nystrom matrix of the classical Airy kernel.
 
     The kernel decays like e^{-(4/3) x^{3/2}}, faster than any exponential,
     so the rational map x = -s + L u/(1-u) converges geometrically here.
+    The numerator Ai(x_i) Ai'(x_j) - Ai'(x_i) Ai(x_j) and x_i - x_j are
+    exactly antisymmetric, so the matrix is exactly symmetric.
     """
     if not np.isfinite(s) or abs(s) > 12.0:
         raise DomainError("s must satisfy |s| <= 12")
-    x, sw = _half_line_nodes(m, *map_semi_infinite(s, L))
+    x, sw = _half_line_nodes(m, map_semi_infinite, s, L)
     ai, aip = _airy_cut(x), _airy_cut(x, prime=True)
     diff = x[:, None] - x[None, :]
     num = ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(np.abs(diff) > 1e-12, num / np.where(diff == 0, 1.0, diff), 0.0)
     np.fill_diagonal(K, aip ** 2 - x * ai ** 2)
-    M = (sw[:, None] * K) * sw[None, :]
-    M = 0.5 * (M + M.T)
-    return NystromOperator(s, np.inf, m, L, x, sw, M)
+    return K * (sw[:, None] * sw[None, :])
 
 
 def fredholm_det_ft(s, T, m=80, L=10.0):
     """L(s, T) = det(I - K_T) on L^2(-s, infinity); value in (0, 1]."""
-    op = build_nystrom(s, T, m, L)
-    return float(np.exp(op.logdet()))
+    K = build_nystrom(s, T, m, L)
+    return float(np.exp(lu_logdet(np.eye(m) - K, f"det(I - K_T) at s={s}, T={T}, m={m}")))
 
 
 def fredholm_det_airy(s, m=80, L=10.0):
     """Classical Tracy-Widom determinant det(I - K_Ai) on L^2(-s, infinity)."""
-    op = build_nystrom_airy(s, m, L)
-    return float(np.exp(op.logdet()))
+    K = build_nystrom_airy(s, m, L)
+    return float(np.exp(lu_logdet(np.eye(m) - K, f"det(I - K_Ai) at s={s}, m={m}")))

@@ -1,13 +1,15 @@
-"""Low-level numerical kernels: polynomials, Gauss-Legendre panels, LU log-dets, RK4.
+"""Low-level kernels: polynomials, Gauss-Legendre panels, half-line maps, log-dets, RK4.
 
 Everything downstream (equilibrium measures, recurrences, Fredholm determinants,
 the integro-differential solver) is built on the primitives in this module, so
-they are deliberately small, deterministic and heavily tested.
+they are deliberately small, deterministic and heavily tested.  The half-line
+maps return the mapped nodes and their Jacobian together, (x, dx/du); lu_logdet
+is the one place a determinant's sign is tested.
 """
 
 import numpy as np
 
-from .errors import BlowUpError, ConvergenceError, DomainError
+from .errors import BlowUpError, BreakdownError, ConvergenceError, DomainError
 
 
 class RealPolynomial:
@@ -93,29 +95,29 @@ def gauss_legendre(m, tol=1e-15, max_iter=100):
     return _RULES[key]
 
 
+def _legendre_p_dp(m, x):
+    """P_m(x) and P'_m(x) by the three-term recurrence."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for j in range(1, m):
+        p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
+    return p, m * (p_prev - x * p) / (1.0 - x * x)
+
+
 def _legendre_rule(m, tol, max_iter):
     if m == 1:
         return QuadratureRule([0.0], [2.0])
     k = np.arange(m)
     x = np.cos(np.pi * (k + 0.75) / (m + 0.5))
     for _ in range(max_iter):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for j in range(1, m):
-            p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
-        dp = m * (p_prev - x * p) / (1.0 - x * x)
+        p, dp = _legendre_p_dp(m, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < tol:
             break
     else:
         raise ConvergenceError(f"Legendre root finding did not converge for m={m}")
-    # one clean-up recurrence pass at the converged nodes
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(1, m):
-        p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
-    dp = m * (p_prev - x * p) / (1.0 - x * x)
+    _, dp = _legendre_p_dp(m, x)  # one clean-up pass at the converged nodes
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     return QuadratureRule(x[order], w[order])
@@ -162,68 +164,52 @@ def integrate_panels(f, scheme):
     return np.cumsum(per_panel)[-1]  # cumsum adds strictly left to right
 
 
-def map_semi_infinite(s, L):
+def map_semi_infinite(u, s, L):
     """Affine-rational map of u in [0,1) onto the half line [-s, infinity).
 
-    Returns (x_of_u, jacobian_of_u) with x = -s + L u/(1-u) and
-    dx/du = L/(1-u)^2.  L > 0 sets the scale: half the unit interval maps
-    into [-s, -s + L].
+    Returns (x, dx/du) with x = -s + L u/(1-u) and dx/du = L/(1-u)^2.  L > 0
+    sets the scale: half the unit interval maps into [-s, -s + L].
     """
     if not (np.isfinite(s) and np.isfinite(L)) or L <= 0:
         raise DomainError("map requires finite s and L > 0")
-
-    def x_of_u(u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u >= 1):
-            raise DomainError("map argument must lie in [0, 1)")
-        return -s + L * u / (1.0 - u)
-
-    def jacobian(u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u >= 1):
-            raise DomainError("map argument must lie in [0, 1)")
-        return L / (1.0 - u) ** 2
-
-    return x_of_u, jacobian
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0) or np.any(u >= 1):
+        raise DomainError("map argument must lie in [0, 1)")
+    return -s + L * u / (1.0 - u), L / (1.0 - u) ** 2
 
 
-def map_log_linear(s, a, b):
+def map_log_linear(u, s, a, b):
     """Linear-logarithmic map of u in [0,1) onto the half line [-s, infinity).
 
-    Returns (x_of_u, jacobian_of_u) with x = -s + a u - b log(1-u) and
-    dx/du = a + b/(1-u).  The linear part spreads the nodes over
-    [-s, -s + a]; the logarithmic end turns an integrand decaying like
-    e^{-2x/b} into one vanishing like (1-u)^2, which the Jacobian's b/(1-u)
-    leaves smooth and vanishing at u = 1, so a Gauss-Legendre rule in u keeps
-    converging geometrically.
+    Returns (x, dx/du) with x = -s + a u - b log(1-u) and dx/du = a + b/(1-u).
+    The linear part spreads the nodes over [-s, -s + a]; the logarithmic end
+    turns an integrand decaying like e^{-2x/b} into one vanishing like
+    (1-u)^2, which the Jacobian's b/(1-u) leaves smooth and vanishing at
+    u = 1, so a Gauss-Legendre rule in u keeps converging geometrically.
     """
     if not (np.isfinite(s) and np.isfinite(a) and np.isfinite(b)) or a < 0 or b <= 0:
         raise DomainError("map requires finite s, a >= 0 and b > 0")
-
-    def x_of_u(u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u >= 1):
-            raise DomainError("map argument must lie in [0, 1)")
-        return -s + a * u - b * np.log1p(-u)
-
-    def jacobian(u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u >= 1):
-            raise DomainError("map argument must lie in [0, 1)")
-        return a + b / (1.0 - u)
-
-    return x_of_u, jacobian
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0) or np.any(u >= 1):
+        raise DomainError("map argument must lie in [0, 1)")
+    return -s + a * u - b * np.log1p(-u), a + b / (1.0 - u)
 
 
-def lu_logdet(a):
-    """(sign, log|det|) of a square matrix via LU with partial pivoting."""
+def lu_logdet(a, where):
+    """log det of a square matrix via LU with partial pivoting.
+
+    The one place a determinant's sign is tested: a determinant that is not
+    positive raises BreakdownError, whose message begins with `where`.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     sign, logabs = np.linalg.slogdet(a)
-    return float(sign), float(logabs)
+    if sign <= 0:
+        raise BreakdownError(f"{where}: determinant is not positive")
+    return float(logabs)
 
 
 def ode_rk4(rhs, y0, s_start, s_end, n_steps, observer=None):

@@ -239,7 +239,9 @@ class TestMain:
 
     def test_numeric_failure_exit_four_names_the_determinant(self, tmp_path, monkeypatch,
                                                              capsys):
-        monkeypatch.setattr(fredholm, "lu_logdet", lambda a: (-1.0, 0.0))
+        # one eigenvalue of K at 2: det(I - K) = -1, refused by lu_logdet itself
+        monkeypatch.setattr(fredholm, "build_nystrom",
+                            lambda s, T, m, L: np.diag(np.r_[2.0, np.zeros(m - 1)]))
         assert main(["fredholm", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert "numeric failure" in err and "s=0.0, T=1.0, m=80" in err

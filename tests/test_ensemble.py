@@ -73,7 +73,7 @@ class TestHermiteOracle:
 
     def test_beta_ratios(self, table):
         for k in range(1, 21):
-            assert table.sqrt_beta(k) ** 2 == pytest.approx(k / 2.0, rel=1e-10)
+            assert table.sqrt_beta[k - 1] ** 2 == pytest.approx(k / 2.0, rel=1e-10)
 
 
 class TestRecurrence:

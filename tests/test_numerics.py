@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airylab.errors import BlowUpError, DomainError
+from airylab.errors import BlowUpError, BreakdownError, DomainError
 from airylab.numerics import (PanelScheme, RealPolynomial, gauss_legendre,
                               integrate_panels, lu_logdet, map_log_linear,
                               map_semi_infinite, ode_rk4)
@@ -126,87 +126,82 @@ class TestPanels:
 
 class TestSemiInfiniteMap:
     def test_endpoint_and_scale(self):
-        x_of_u, jac = map_semi_infinite(2.0, 10.0)
-        assert x_of_u(0.0) == -2.0
-        assert x_of_u(0.5) == pytest.approx(8.0)
+        assert map_semi_infinite(0.0, 2.0, 10.0)[0] == -2.0
+        assert map_semi_infinite(0.5, 2.0, 10.0)[0] == pytest.approx(8.0)
 
     def test_jacobian_matches_finite_difference(self):
-        x_of_u, jac = map_semi_infinite(1.0, 5.0)
         u = np.linspace(0.05, 0.9, 10)
         eps = 1e-6
-        fd = (x_of_u(u + eps) - x_of_u(u - eps)) / (2 * eps)
-        assert np.allclose(jac(u), fd, rtol=1e-8)
+        fd = (map_semi_infinite(u + eps, 1.0, 5.0)[0]
+              - map_semi_infinite(u - eps, 1.0, 5.0)[0]) / (2 * eps)
+        assert np.allclose(map_semi_infinite(u, 1.0, 5.0)[1], fd, rtol=1e-8)
 
     def test_exponential_integral_on_half_line(self):
         # int_{-s}^inf e^{-x} dx = e^{s}
         s, L = 1.5, 8.0
-        x_of_u, jac = map_semi_infinite(s, L)
         rule = gauss_legendre(60)
-        u = 0.5 * (rule.nodes + 1.0)
-        w = 0.5 * rule.weights
-        val = np.sum(w * jac(u) * np.exp(-x_of_u(u)))
+        x, dx_du = map_semi_infinite(0.5 * (rule.nodes + 1.0), s, L)
+        val = np.sum(0.5 * rule.weights * dx_du * np.exp(-x))
         assert val == pytest.approx(np.exp(s), rel=1e-10)
 
     def test_domain_checks(self):
-        x_of_u, jac = map_semi_infinite(0.0, 1.0)
         with pytest.raises(DomainError):
-            x_of_u(1.0)
+            map_semi_infinite(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            map_semi_infinite(0.0, -1.0)
+            map_semi_infinite(0.5, 0.0, -1.0)
 
 
 class TestLogLinearMap:
     def test_endpoint_and_slopes(self):
-        x_of_u, jac = map_log_linear(2.0, 5.0, 0.5)
-        assert x_of_u(0.0) == -2.0
-        assert x_of_u(0.5) == pytest.approx(-2.0 + 2.5 + 0.5 * np.log(2.0))
-        assert jac(0.0) == pytest.approx(5.5)
+        x0, jac0 = map_log_linear(0.0, 2.0, 5.0, 0.5)
+        assert x0 == -2.0
+        assert map_log_linear(0.5, 2.0, 5.0, 0.5)[0] == pytest.approx(
+            -2.0 + 2.5 + 0.5 * np.log(2.0))
+        assert jac0 == pytest.approx(5.5)
 
     def test_jacobian_matches_finite_difference(self):
-        x_of_u, jac = map_log_linear(-1.0, 3.0, 4.0)
         u = np.linspace(0.05, 0.95, 10)
         eps = 1e-7
-        fd = (x_of_u(u + eps) - x_of_u(u - eps)) / (2 * eps)
-        assert np.allclose(jac(u), fd, rtol=1e-7)
+        fd = (map_log_linear(u + eps, -1.0, 3.0, 4.0)[0]
+              - map_log_linear(u - eps, -1.0, 3.0, 4.0)[0]) / (2 * eps)
+        assert np.allclose(map_log_linear(u, -1.0, 3.0, 4.0)[1], fd, rtol=1e-7)
 
     def test_slow_exponential_integral_on_half_line(self):
         # int_{-s}^inf e^{-x/4} dx = 4 e^{s/4}: with b = 8 the mapped
         # integrand is e^{s/4 - a u/4} (1-u)^2 (a + 8/(1-u)), a polynomial-like
         # function of u, so 30 nodes already give ~machine precision
         s = 1.5
-        x_of_u, jac = map_log_linear(s, 5.0, 8.0)
         rule = gauss_legendre(30)
-        u = 0.5 * (rule.nodes + 1.0)
-        w = 0.5 * rule.weights
-        val = np.sum(w * jac(u) * np.exp(-x_of_u(u) / 4.0))
+        x, dx_du = map_log_linear(0.5 * (rule.nodes + 1.0), s, 5.0, 8.0)
+        val = np.sum(0.5 * rule.weights * dx_du * np.exp(-x / 4.0))
         assert val == pytest.approx(4.0 * np.exp(s / 4.0), rel=1e-13)
 
     def test_domain_checks(self):
-        x_of_u, jac = map_log_linear(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            x_of_u(1.0)
+            map_log_linear(1.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            jac(-0.1)
+            map_log_linear(-0.1, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            map_log_linear(0.0, 1.0, 0.0)
+            map_log_linear(0.5, 0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            map_log_linear(0.0, -1.0, 1.0)
+            map_log_linear(0.5, 0.0, -1.0, 1.0)
 
 
 class TestLogDet:
     def test_known_determinant(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        sign, logabs = lu_logdet(a)
-        assert sign == 1.0
-        assert logabs == pytest.approx(np.log(3.0), rel=1e-14)
+        assert lu_logdet(a, "known") == pytest.approx(np.log(3.0), rel=1e-14)
 
     def test_negative_determinant_sign(self):
-        sign, logabs = lu_logdet(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert sign == -1.0
+        # a determinant that is not positive is refused, naming where it was taken
+        for a in ([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(BreakdownError, match="not positive") as exc:
+                lu_logdet(np.array(a), "det(I - K) at s=1")
+            assert str(exc.value).startswith("det(I - K) at s=1: ")
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DomainError):
-            lu_logdet(np.ones((2, 3)))
+            lu_logdet(np.ones((2, 3)), "nonsquare")
 
 
 class TestRK4:
