@@ -18,6 +18,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -54,6 +55,15 @@ _DEFAULTS = {
 }
 
 
+def _is_number(v):
+    """A finite int or float; a bool, though an int, is not a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+
+
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 class LabConfig:
     """Validated study configuration; fields mirror the default dictionary."""
 
@@ -64,14 +74,22 @@ class LabConfig:
         merged = dict(_DEFAULTS)
         merged.update(data)
         for key in ("potential", "deformation", "deformation2", "n_list", "s_list"):
-            if not isinstance(merged[key], list) or not merged[key]:
-                raise ConfigError(f"'{key}' must be a nonempty list")
-        if list(merged["n_list"]) != sorted(merged["n_list"]):
-            raise ConfigError("'n_list' must be ascending")
+            val = merged[key]
+            if not (isinstance(val, list) and val and all(map(_is_number, val))):
+                raise ConfigError(f"'{key}' must be a nonempty list of finite numbers")
+        for key in ("t_param", "fredholm_L", "idpii_s_min", "idpii_s_max", "idpii_h_xi"):
+            if not _is_number(merged[key]):
+                raise ConfigError(f"'{key}' must be a finite number")
+        for key in ("fredholm_m", "idpii_n_steps", "workers"):
+            if not _is_count(merged[key]):
+                raise ConfigError(f"'{key}' must be a positive integer")
+        n_list = merged["n_list"]
+        if not all(map(_is_count, n_list)) or n_list != sorted(n_list):
+            raise ConfigError("'n_list' must hold ascending positive integers")
         if not merged["t_param"] > 0:
             raise ConfigError("'t_param' must be positive")
-        if merged["workers"] < 1:
-            raise ConfigError("'workers' must be at least 1")
+        if not isinstance(merged["out_dir"], str):
+            raise ConfigError("'out_dir' must be a string")
         for key, val in merged.items():
             setattr(self, key, val)
 

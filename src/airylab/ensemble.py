@@ -29,21 +29,21 @@ class DeformationQ:
     """Polynomial deformation Q with Q(0) = 0, t = -Q'(0) > 0 and one sign change.
 
     The sign condition (Q > 0 left of the origin, Q < 0 right of it) is checked
-    on 201 points of the validation window.
+    on 201 points of [-6, 6].
     """
 
-    def __init__(self, coeffs, validation_window=(-6.0, 6.0)):
+    def __init__(self, coeffs):
         p = RealPolynomial(coeffs)
         if p(0.0) != 0.0:
             raise DomainError("deformation must vanish at the origin")
         t = -p.derivative()(0.0)
         if not t > 0:
             raise DomainError("deformation must have -Q'(0) > 0")
-        xs = np.linspace(validation_window[0], validation_window[1], 201)
+        xs = np.linspace(-6.0, 6.0, 201)
         vals = p(xs)
         bad = (xs < 0) & (vals <= 0) | (xs > 0) & (vals >= 0)
         if np.any(bad):
-            raise DomainError("deformation violates the sign condition on the validation window")
+            raise DomainError("deformation violates the sign condition on [-6, 6]")
         self.poly = p
         self.t = float(t)
 
@@ -67,12 +67,12 @@ class EnsembleGrid:
         self.log_w_und = -float(n) * eq.V(self.nodes)
 
 
-def build_grid(eq, n, core_pad=0.5, tail_panels=20, log_range=400.0):
+def build_grid(eq, n):
     """Grid for the ensemble with potential eq.V at size n.
 
-    The window is where n (V - min V) <= log_range, widened by 10%; the core
-    [-a - core_pad, core_pad] carries ceil(3n) + 20 equal panels and each tail
-    up to the window edge carries `tail_panels` geometrically graded panels.
+    The window is where n (V - min V) <= 400, widened by 10%; the core
+    [-a - 0.5, 0.5] carries ceil(3n) + 20 equal panels and each tail up to the
+    window edge carries 20 geometrically graded panels.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -80,7 +80,7 @@ def build_grid(eq, n, core_pad=0.5, tail_panels=20, log_range=400.0):
     crit = np.roots(V.dpoly.coeffs[::-1])
     crit = crit[np.abs(crit.imag) < 1e-10].real
     v_min = float(np.min(V(crit)))
-    cap = v_min + log_range / float(n)
+    cap = v_min + 400.0 / float(n)
 
     def expand(x0, direction):
         x = x0
@@ -100,7 +100,7 @@ def build_grid(eq, n, core_pad=0.5, tail_panels=20, log_range=400.0):
                 b_ = mid
         return 0.5 * (a_ + b_)
 
-    left_core, right_core = -eq.a - core_pad, core_pad
+    left_core, right_core = -eq.a - 0.5, 0.5
     left_win = expand(-eq.a, -1.0)
     right_win = expand(0.0, +1.0)
     # widen by 10% of the distance to the support
@@ -113,7 +113,7 @@ def build_grid(eq, n, core_pad=0.5, tail_panels=20, log_range=400.0):
     breaks = [np.linspace(left_core, right_core, n_core + 1)]
     # geometric tails: panel lengths grow by a fixed ratio away from the core
     ratio = 1.6
-    glen = np.cumsum(ratio ** np.arange(tail_panels))
+    glen = np.cumsum(ratio ** np.arange(20))
     glen /= glen[-1]
     breaks.insert(0, left_core - (left_core - left_win) * glen[::-1])
     breaks.append(right_core + (right_win - right_core) * glen)
@@ -260,7 +260,7 @@ def deformation_matrix(grid, table_und, n, log_sigma_nodes):
     return V @ V.T, dropped + dropped_c
 
 
-def log_lstat_det(grid, table_und, n, log_sigma_nodes, spectrum_tol=1e-8):
+def log_lstat_det(grid, table_und, n, log_sigma_nodes):
     """log L_n as log det(I - M), M the deformation matrix in the undeformed basis.
 
     M_jk = int Phat_j Phat_k (1 - sigma_n) e^{-nV} dx, assembled by
@@ -270,14 +270,14 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes, spectrum_tol=1e-8):
     <= DROP_TOL, and with tau = dropped / (1 - lambda_max(M)) the log-det of
     the full-grid matrix differs from the one returned by at most
     tau / (1 - tau), about 2e-19 / (1 - lambda_max(M)).  A spectral guard
-    (one eigvalsh) verifies M is numerically inside [0, 1) before the
+    (one eigvalsh) verifies M is inside [0, 1) to 1e-8 before the
     determinant is taken; lambda_max(M) is also what the bound above needs.
     """
     M, dropped = deformation_matrix(grid, table_und, n, log_sigma_nodes)
     ev = np.linalg.eigvalsh(M)
     where = (f"log_lstat_det at n={n}: M has spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] "
              f"after dropping trace {dropped:.3g}")
-    if ev[0] < -spectrum_tol or ev[-1] > 1.0 + spectrum_tol:
+    if ev[0] < -1e-8 or ev[-1] > 1.0 + 1e-8:
         raise BreakdownError(f"{where}, outside [0, 1)")
     return lu_logdet(np.eye(n) - M, where)
 
@@ -313,11 +313,10 @@ def norming_ratio(eq, table_def, n):
     return (4.0 * np.pi / eq.a) * math.exp(2.0 * n * eq.ell - table_def.log_h[n - 1])
 
 
-def build_tables(eq, Q, n, s, K=None):
-    """Convenience: grid plus deformed and undeformed recurrence tables."""
+def build_tables(eq, Q, n, s):
+    """Convenience: grid plus deformed and undeformed recurrence tables, n + 1 terms."""
     grid = build_grid(eq, n)
-    K = K or n + 1
     lsig = log_sigma(Q, n, s, grid.nodes)
-    t_und = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und, K)
-    t_def = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und + lsig, K)
+    t_und = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und, n + 1)
+    t_def = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und + lsig, n + 1)
     return grid, t_und, t_def, lsig

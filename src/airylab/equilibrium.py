@@ -50,13 +50,13 @@ def _theta_nodes():
     return t, w
 
 
-def solve_support(V, tol=1e-13, max_iter=200):
+def solve_support(V):
     """Endpoints (b_minus, b_plus) of the one-cut support of the measure.
 
     Solves the two moment conditions
         (1/2pi) int_0^pi V'(m + r cos t) dt = 0
         (1/2pi) int_0^pi (m + r cos t) V'(m + r cos t) dt = 1
-    for the center m and radius r by a damped Newton iteration.
+    for the center m and radius r by damped Newton (residual < 1e-13, 200 steps).
     """
     t, w = _theta_nodes()
     ct = np.cos(t)
@@ -85,9 +85,9 @@ def solve_support(V, tol=1e-13, max_iter=200):
     for r0 in (1.0, 0.5, 2.0, 4.0, 0.25):
         m, r = m0, r0
         ok = False
-        for _ in range(max_iter):
+        for _ in range(200):
             res = residual(m, r)
-            if np.max(np.abs(res)) < tol:
+            if np.max(np.abs(res)) < 1e-13:
                 ok = True
                 break
             try:
@@ -219,19 +219,19 @@ def _log_potential(eq, x0):
     return -(a * a / (8.0 * np.pi)) * integral
 
 
-def lagrange_constant(eq, x_far=(1.0e4, 2.0e4, 4.0e4)):
+def lagrange_constant(eq):
     """Lagrange multiplier ell of the equilibrium problem, two routes.
 
     Route 1 evaluates ell = -U(x0) - V(x0)/2 at the interior point x0 = -a/2
     with log-graded quadrature.  Route 2 uses the far-field expansion
-    phi(x) = V(x)/2 + ell - log x + c1/x + c2/x^2 + ... at the points x_far
-    (spaced by factors of two) with Richardson elimination of the 1/x and
-    1/x^2 terms, in extended precision.  Returns (ell, route2_value); callers
-    decide how strictly to compare.
+    phi(x) = V(x)/2 + ell - log x + c1/x + c2/x^2 + ... at x = 1e4, 2e4, 4e4
+    with Richardson elimination of the 1/x and 1/x^2 terms, in extended
+    precision.  Returns (ell, route2_value); callers decide how strictly to
+    compare.
     """
     x0 = -0.5 * eq.a
     route1 = -_log_potential(eq, x0) - 0.5 * eq.V(x0)
-    vals = [_far_field_ell(eq, x) for x in x_far]
+    vals = [_far_field_ell(eq, x) for x in (1.0e4, 2.0e4, 4.0e4)]
     route2 = (vals[0] - 6.0 * vals[1] + 8.0 * vals[2]) / 3.0
     return route1, route2
 

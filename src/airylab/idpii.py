@@ -172,12 +172,12 @@ def interp_P(sol, S):
     return float((1.0 - t) * sol.P_of_S[j] + t * sol.P_of_S[j + 1])
 
 
-def k_infinity(sol, u, v, s, t_param, confluent_eps=1e-6):
+def k_infinity(sol, u, v, s, t_param):
     """Limiting edge kernel K_inf(u, v | s, t) from the stored solution.
 
     phi_1(z) = Phi(-s + t z | S, T), phi_2 = dPhi/dS at the same argument,
     with T = t^{-3/2}, S = s T.  The confluent u = v case uses the
-    xi-derivative of the interpolant.
+    xi-derivative of the interpolant when |u - v| < 1e-6.
     """
     T = t_param ** (-1.5)
     if abs(T - sol.T) > 1e-9 * max(1.0, T):
@@ -186,7 +186,7 @@ def k_infinity(sol, u, v, s, t_param, confluent_eps=1e-6):
     xs = np.array([-s + t_param * u, -s + t_param * v])
     p1 = interp_phi(sol, xs, S, "phi")
     p2 = interp_phi(sol, xs, S, "dphi")
-    if abs(u - v) < confluent_eps:
+    if abs(u - v) < 1e-6:
         d1 = t_param * interp_phi(sol, xs, S, "phi", deriv_xi=True)
         d2 = t_param * interp_phi(sol, xs, S, "dphi", deriv_xi=True)
         return float(d1[0] * p2[0] - p1[0] * d2[0])

@@ -74,7 +74,7 @@ class QuadratureRule:
 _RULES = {}
 
 
-def gauss_legendre(m, tol=1e-15, max_iter=100):
+def gauss_legendre(m):
     """Gauss-Legendre rule with m nodes on [-1, 1].
 
     Nodes are the roots of the degree-m Legendre polynomial, located by a
@@ -86,13 +86,12 @@ def gauss_legendre(m, tol=1e-15, max_iter=100):
     m = int(m)
     if m < 1:
         raise DomainError(f"need at least one node, got m={m}")
-    key = (m, tol, max_iter)
-    if key not in _RULES:
-        rule = _legendre_rule(m, tol, max_iter)
+    if m not in _RULES:
+        rule = _legendre_rule(m)
         rule.nodes.setflags(write=False)
         rule.weights.setflags(write=False)
-        _RULES[key] = rule
-    return _RULES[key]
+        _RULES[m] = rule
+    return _RULES[m]
 
 
 def _legendre_p_dp(m, x):
@@ -104,16 +103,16 @@ def _legendre_p_dp(m, x):
     return p, m * (p_prev - x * p) / (1.0 - x * x)
 
 
-def _legendre_rule(m, tol, max_iter):
+def _legendre_rule(m):
     if m == 1:
         return QuadratureRule([0.0], [2.0])
     k = np.arange(m)
     x = np.cos(np.pi * (k + 0.75) / (m + 0.5))
-    for _ in range(max_iter):
+    for _ in range(100):
         p, dp = _legendre_p_dp(m, x)
         dx = p / dp
         x = x - dx
-        if np.max(np.abs(dx)) < tol:
+        if np.max(np.abs(dx)) < 1e-15:
             break
     else:
         raise ConvergenceError(f"Legendre root finding did not converge for m={m}")

@@ -3,10 +3,10 @@
 Ai and Ai' are served on [-_DOMAIN, _AI_CUT] from one Taylor table: anchors
 every _H, and about each anchor the Taylor coefficients that the Airy equation
 Ai'' = x Ai gives from the anchor's Ai and Ai'.  Those anchor values are
-computed once, at import, in long double: by Poincare-type asymptotic
-expansions far out on either side, the Maclaurin series in the middle, and
-Taylor marches in between.  At run time the positive asymptotic expansion
-serves (_AI_CUT, _DOMAIN] and nothing else.  The polylog-type integrals
+computed once, at import, in long double, from one asymptotic expansion and
+one Taylor march: the positive expansion where its remainder is below 1e-24,
+and a march down the line from there.  At run time the same expansion, in long
+double, serves (_AI_CUT, _DOMAIN].  The polylog-type integrals
 F_beta(y) = int_0^inf v^beta log(1+e^{-y-v}) dv come in two independent routes
 (direct quadrature and an accelerated alternating series) so each can serve as
 the other's oracle.
@@ -19,9 +19,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .numerics import RULE16, PanelScheme, integrate_panels
 
-# Ai(0), -Ai'(0) and pi to more digits than long double carries.
-_AI0 = np.longdouble("0.355028053887817239260063186004183176398")
-_AIP0 = np.longdouble("0.258819403792806798405183560188858261013")
+# pi to more digits than long double carries
 _PI = np.longdouble("3.14159265358979323846264338327950288420")
 
 _DOMAIN = 200.0
@@ -36,38 +34,17 @@ _AI_ZERO = 108.0
 _H = 1.0 / 16.0
 _N_TAYLOR = 20
 _BLOCK = 16384
-# anchor values, in long double: the negative asymptotic expansion up to
-# _ASY_NEG, a Taylor march up from it to _SERIES_NEG, the Maclaurin series on
-# [_SERIES_NEG, _SERIES_POS], a march down to it from _ASY_POS (Ai grows
-# downwards, so the march keeps relative accuracy), and the positive asymptotic
-# expansion from _ASY_POS on, where its remainder is below 1e-24.  Against
-# 40-digit values they are within 5e-17 of the oscillation amplitude
-# |x|^{-1/4}/sqrt(pi) on [_ASY_NEG, 0) and of |Ai| on [0, _AI_CUT]; far out
-# on the negative side the phase (2/3)|x|^{3/2}, up to ~1900, carries the
-# long-double rounding of its size (1.3e-16 at x = -150).
-_ASY_NEG = -13.0
-_SERIES_NEG = -6.0
-_SERIES_POS = 2.0
+# anchor values, in long double: the positive asymptotic expansion from
+# _ASY_POS up, then a march of _N_MARCH-term Taylor steps of _MARCH_STEP down
+# to -_DOMAIN (a step there spans sqrt(_DOMAIN) _MARCH_STEP ~ 7 in the Taylor
+# variable).  Ai grows downwards on the positive side, so the march keeps
+# relative accuracy there.  Against 30-digit values the table is within
+# 2.3e-16 of |Ai| on [0, _AI_CUT] and of the oscillation amplitude
+# |x|^{-1/4}/sqrt(pi) for x < 0.
 _ASY_POS = 12.0
 _MARCH_STEP = 0.5
-_N_MARCH = 40
-_N_SERIES = 72
+_N_MARCH = 50
 _N_ASY = 40
-
-
-def _series_coeffs():
-    one = np.longdouble(1.0)
-    f = np.empty(_N_SERIES, dtype=np.longdouble)
-    g = np.empty(_N_SERIES, dtype=np.longdouble)
-    f[0] = one
-    g[0] = one
-    for k in range(_N_SERIES - 1):
-        f[k + 1] = f[k] / ((3 * k + 2) * (3 * k + 3))
-        g[k + 1] = g[k] / ((3 * k + 3) * (3 * k + 4))
-    return f, g
-
-
-_F_COEF, _G_COEF = _series_coeffs()
 
 
 def _asy_coeffs():
@@ -86,48 +63,23 @@ def _asy_coeffs():
 _U_COEF, _V_COEF = _asy_coeffs()
 
 
-def _airy_series(x):
-    """Maclaurin evaluation in long double (an anchor generator)."""
-    xl = np.asarray(x, dtype=np.longdouble)
-    y = xl * xl * xl
-    accf = np.full_like(xl, _F_COEF[-1])
-    accg = np.full_like(xl, _G_COEF[-1])
-    accfp = np.full_like(xl, 3 * (_N_SERIES - 1) * _F_COEF[-1])
-    accgp = np.full_like(xl, (3 * (_N_SERIES - 1) + 1) * _G_COEF[-1])
-    for k in range(_N_SERIES - 2, -1, -1):
-        accf = accf * y + _F_COEF[k]
-        accg = accg * y + _G_COEF[k]
-        accfp = accfp * y + 3 * k * _F_COEF[k]
-        accgp = accgp * y + (3 * k + 1) * _G_COEF[k]
-    f = accf
-    g = xl * accg
-    fp = np.where(xl != 0, accfp / np.where(xl == 0, 1, xl), 0.0)
-    gp = accgp
-    return _AI0 * f - _AIP0 * g, _AI0 * fp - _AIP0 * gp
-
-
-def _asy_sum(zeta, coef, parity=None):
+def _asy_sum(zeta, coef):
     """Sum_k (-1)^k coef[k] zeta^{-k}, truncated at the smallest term.
 
-    parity='even' / 'odd' restricts to even or odd k (with the sign pattern
-    (-1)^j for the j-th retained term), as needed on the oscillatory side.
     Sums in the float type of zeta; the powers are a running product.
     """
-    first = {None: 0, "even": 0, "odd": 1}[parity]
-    stride = 1 if parity is None else 2
     coef = coef.astype(zeta.dtype)
     inv = 1 / zeta
-    power = inv ** first
-    step = inv ** stride
+    power = np.ones_like(zeta)
     total = np.zeros_like(zeta)
     active = np.ones(zeta.shape, dtype=bool)
     prev = np.full_like(zeta, np.inf)
-    for j, k in enumerate(range(first, _N_ASY, stride)):
+    for k in range(_N_ASY):
         term = coef[k] * power
         active &= np.abs(term) <= prev
-        total = np.where(active, total + (-1) ** j * term, total)
+        total = np.where(active, total + (-1) ** k * term, total)
         prev = np.where(active, np.abs(term), prev)
-        power = power * step
+        power = power * inv
     return total
 
 
@@ -140,26 +92,6 @@ def _airy_asy_pos(x):
     x4 = np.sqrt(np.sqrt(x))
     return (e / (two_sqrt_pi * x4) * _asy_sum(zeta, _U_COEF),
             -x4 * e / two_sqrt_pi * _asy_sum(zeta, _V_COEF))
-
-
-def _airy_asy_neg(x):
-    """Ai and Ai' for large negative x, in the float type of x.
-
-    The phase (2/3)|x|^{3/2} - pi/4 reaches about 1900 at -_DOMAIN, so it is
-    rounded to the float type of x, not to float64, before the cosine.
-    """
-    z = -np.asarray(x)
-    pi = z.dtype.type(_PI)
-    zeta = 2 * z * np.sqrt(z) / 3
-    phase = zeta - pi / 4
-    c, s = np.cos(phase), np.sin(phase)
-    p_even = _asy_sum(zeta, _U_COEF, parity="even")
-    p_odd = _asy_sum(zeta, _U_COEF, parity="odd")
-    q_even = _asy_sum(zeta, _V_COEF, parity="even")
-    q_odd = _asy_sum(zeta, _V_COEF, parity="odd")
-    sqrt_pi = np.sqrt(pi)
-    z4 = np.sqrt(np.sqrt(z))
-    return (c * p_even + s * p_odd) / (sqrt_pi * z4), (z4 / sqrt_pi) * (s * q_even - c * q_odd)
 
 
 def _taylor_coeffs(c, ai, aip, n):
@@ -193,27 +125,27 @@ def _airy_table():
 
     Row k of the first array holds a_k, of the second (k+1) a_{k+1}, so a
     Horner step gathers one contiguous row.  Ai and Ai' are first found in
-    long double on a coarse grid of step _MARCH_STEP, over which the Taylor
-    series converges, and each anchor is one Taylor shift from its nearest
-    coarse point.  Only then are they rounded: the higher coefficients follow
-    in float64, where their rounding is far below that of a_0 and a_1, since
+    long double on a coarse grid of step _MARCH_STEP: by the asymptotic
+    expansion from _ASY_POS up, and below it by a march down whose steps, 2x2
+    transfer matrices, are all computed at once, so that only their product
+    is sequential.  Each anchor is one Taylor shift from its nearest coarse
+    point.  Only then are they rounded: the higher coefficients follow in
+    float64, where their rounding is far below that of a_0 and a_1, since
     |a_k t^k| falls off like (sqrt|c| |t|)^k / k! with |t| <= _H / 2.
     """
     ratio = int(round(_MARCH_STEP / _H))
     n = int(round((_AI_CUT + _DOMAIN) / _MARCH_STEP))
     coarse = -_DOMAIN + _MARCH_STEP * np.arange(n + 1, dtype=np.longdouble)
-    ai = np.empty_like(coarse)
-    aip = np.empty_like(coarse)
-    for lo, hi, gen in [(-np.inf, _ASY_NEG, _airy_asy_neg),
-                        (_SERIES_NEG, _SERIES_POS, _airy_series),
-                        (_ASY_POS, np.inf, _airy_asy_pos)]:
-        mask = (coarse >= lo) & (coarse <= hi)
-        ai[mask], aip[mask] = gen(coarse[mask])
-    # march across the gaps between the generators: up from _ASY_NEG, down from _ASY_POS
-    idx = np.searchsorted(coarse, [_ASY_NEG, _SERIES_NEG, _SERIES_POS, _ASY_POS])
-    for path in (range(idx[0], idx[1]), range(idx[3], idx[2], -1)):
-        for i, j in zip(path, path[1:]):
-            ai[j], aip[j] = _taylor_shift(coarse[i], ai[i], aip[i], coarse[j] - coarse[i])
+    start = int(round((_ASY_POS + _DOMAIN) / _MARCH_STEP))
+    ai, aip = np.empty((2, n + 1), dtype=np.longdouble)
+    ai[start:], aip[start:] = _airy_asy_pos(coarse[start:])
+    # step i, coarse[i + 1] -> coarse[i]: its columns shift (1, 0) and (0, 1)
+    one, zero = np.ones(start, dtype=np.longdouble), np.zeros(start, dtype=np.longdouble)
+    (m00, m10), (m01, m11) = (_taylor_shift(coarse[1:start + 1], *unit, -_MARCH_STEP)
+                              for unit in ((one, zero), (zero, one)))
+    for i in range(start - 1, -1, -1):
+        ai[i], aip[i] = (m00[i] * ai[i + 1] + m01[i] * aip[i + 1],
+                         m10[i] * ai[i + 1] + m11[i] * aip[i + 1])
     offsets = _H * (np.arange(ratio) - ratio // 2)
     fine = [v.T.ravel()[ratio // 2:ratio // 2 + ratio * n + 1].astype(float)
             for v in _taylor_shift(coarse, ai, aip, offsets)]
@@ -259,7 +191,9 @@ def _airy(x, prime):
     if np.any(far):
         out = np.empty_like(xf)
         out[~far] = _from_table(table, xf[~far])
-        out[far] = _airy_asy_pos(xf[far])[1 if prime else 0]
+        # in long double, like the anchors: the exponent (2/3) x^{3/2} is over
+        # 110 here, and its float64 rounding would cost up to 1e-13 relative
+        out[far] = _airy_asy_pos(xf[far].astype(np.longdouble))[1 if prime else 0]
     else:
         out = _from_table(table, xf)
     return out[0] if x.ndim == 0 else out
@@ -343,12 +277,12 @@ def f_beta_quad(beta, y):
     return integrate_panels(f, PanelScheme(breaks, RULE16))
 
 
-def f_k_closed(k, y, tol=1e-17):
+def f_k_closed(k, y):
     """F_k(y) for integer k >= 0 and y >= 0 via the polylog series.
 
     F_k(y) = -k! Li_{k+2}(-e^{-y}) = k! sum_{m>=1} (-1)^{m+1} e^{-my} / m^{k+2}.
     Adjacent terms are paired so that the partial sums converge absolutely;
-    the sum stops once a pair drops below tol relative to the head term.
+    the sum stops once a pair drops below 1e-17 relative to the head term.
     """
     if int(k) != k or k < 0:
         raise DomainError("k must be a non-negative integer")
@@ -369,7 +303,7 @@ def f_k_closed(k, y, tol=1e-17):
         total += float(np.sum(pairs))
         last = abs(pairs[-1])
         j0 += block
-        if last < tol * max(head, 1e-300) or x ** (2 * j0) == 0.0:
+        if last < 1e-17 * max(head, 1e-300) or x ** (2 * j0) == 0.0:
             break
     else:
         raise ConvergenceError("polylog series did not terminate")

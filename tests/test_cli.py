@@ -218,6 +218,21 @@ class TestMain:
         p.write_text(json.dumps({"t_param": -2.0}))
         assert main(["eqmeasure", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"t_param": "1"}', '{"t_param": true}', '{"t_param": Infinity}',
+        '{"fredholm_L": NaN}', '{"idpii_h_xi": "0.04"}',
+        '{"workers": "2"}', '{"workers": 1.0}', '{"fredholm_m": "80"}',
+        '{"fredholm_m": 0}', '{"idpii_n_steps": 2800.5}',
+        '{"n_list": [16, "32"]}', '{"n_list": [0, 16]}', '{"n_list": [16, 32.0]}',
+        '{"s_list": [0.0, null]}', '{"s_list": [NaN]}', '{"potential": [2.0, false]}',
+        '{"deformation": "0, -1"}', '{"out_dir": 5}',
+    ])
+    def test_malformed_value_exit_two(self, tmp_path, text, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["fredholm", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_config_exit_two(self):
         assert main(["eqmeasure", "--config", "/no/such/file.json"]) == 2
 

@@ -62,20 +62,25 @@ class TestAiry:
         fd = (airy_ai(x + h) - airy_ai(x - h)) / (2 * h)
         assert fd == pytest.approx(airy_ai_prime(x), rel=1e-6, abs=1e-9)
 
-    def test_branch_overlap_consistency(self):
-        # the series and the asymptotic expansions, which now only generate
-        # the table's anchors, agree at x = 5.5 and x = -9
-        from airylab.special import _airy_asy_neg, _airy_asy_pos, _airy_series
-        x = np.array([5.5])
-        assert abs(_airy_series(x)[0][0] - _airy_asy_pos(x)[0][0]) < 1e-11
-        x = np.array([-9.0])
-        s, a = _airy_series(x), _airy_asy_neg(x)
-        assert abs(s[0][0] - a[0][0]) < 1e-11
-        assert abs(s[1][0] - a[1][0]) < 1e-11
+    def test_anchor_generator_accuracy(self):
+        # the positive asymptotic expansion, the one generator of the table's
+        # anchors, in long double on [12, 30] against 40-digit values
+        mpmath = pytest.importorskip("mpmath")
+        from airylab.special import _airy_asy_pos
+        xs = np.linspace(12.0, 30.0, 37, dtype=np.longdouble)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x, *vals in zip(xs, *_airy_asy_pos(xs)):
+                xm = mpmath.mpf(np.format_float_scientific(x, unique=True))
+                for d, v in enumerate(vals):
+                    ref = mpmath.airyai(xm, derivative=d)
+                    got = mpmath.mpf(np.format_float_scientific(v, unique=True))
+                    worst = max(worst, float(abs(got / ref - 1)))
+        assert worst <= 2e-16
 
     def test_relative_accuracy_across_positive_switches(self):
-        # (4, 8] is served by the Taylor table, between the series and the
-        # asymptotic branch; both neighbours lose digits there
+        # relative accuracy on the positive side where Ai falls from 3e-3 to
+        # 1e-8; evaluation routes once switched at 4 and 8 and lost digits there
         mpmath = pytest.importorskip("mpmath")
         xs = np.linspace(3.5, 8.5, 161)
         ref = np.array([[float(mpmath.airyai(x, derivative=d)) for d in (0, 1)]
@@ -99,9 +104,10 @@ class TestAiry:
     def test_whole_line_accuracy(self):
         # error in units of the oscillation amplitude for x < 0 (|x|^{-1/4}/sqrt(pi)
         # for Ai, |x|^{1/4}/sqrt(pi) for Ai'), relative for x >= 0; a fixed
-        # sample of the whole domain plus the seams between the anchor
-        # generators (-13, -6, 2, 12), the top of the table (30) and the
-        # former branch switches (-9, 4, 8)
+        # sample of the whole domain plus the points where the march from the
+        # asymptotic expansion begins (12) and the table hands over to it
+        # (30), and former seams between evaluation routes (-13, -9, -6, 2,
+        # 4, 8)
         mpmath = pytest.importorskip("mpmath")
         seams = (-13.0, -9.0, -6.0, 2.0, 4.0, 8.0, 12.0, 30.0)
         near = [c + d for c in seams
@@ -114,8 +120,19 @@ class TestAiry:
         neg = xs < 0
         amp = np.where(neg, z ** -0.25 / np.sqrt(np.pi), np.abs(ref[:, 0]))
         amp_prime = np.where(neg, z ** 0.25 / np.sqrt(np.pi), np.abs(ref[:, 1]))
-        assert np.max(np.abs(airy_ai(xs) - ref[:, 0]) / amp) <= 1e-13
-        assert np.max(np.abs(airy_ai_prime(xs) - ref[:, 1]) / amp_prime) <= 1e-13
+        assert np.max(np.abs(airy_ai(xs) - ref[:, 0]) / amp) <= 5e-16
+        assert np.max(np.abs(airy_ai_prime(xs) - ref[:, 1]) / amp_prime) <= 5e-16
+
+    def test_far_tail_relative_accuracy(self):
+        # beyond the table (30, 100] the asymptotic expansion serves Ai and
+        # Ai' directly; the id-PII starting data amplify them to O(1)
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.random.default_rng(20261018).uniform(30.0, 100.0, 300)
+        with mpmath.workdps(30):
+            ref = np.array([[float(mpmath.airyai(x, derivative=d)) for d in (0, 1)]
+                            for x in xs])
+        assert np.max(np.abs(airy_ai(xs) / ref[:, 0] - 1.0)) <= 5e-16
+        assert np.max(np.abs(airy_ai_prime(xs) / ref[:, 1] - 1.0)) <= 5e-16
 
     def test_only_the_requested_function_is_summed(self, monkeypatch):
         # the Nystrom kernels need Ai alone: no Ai' is computed for them
