@@ -13,7 +13,6 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 configuration error,
 """
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import hashlib
@@ -51,7 +50,6 @@ _DEFAULTS = {
     "idpii_h_xi": 0.04,
     "idpii_n_steps": 2800,
     "out_dir": ".",
-    "workers": 1,
 }
 
 
@@ -73,19 +71,23 @@ class LabConfig:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         merged = dict(_DEFAULTS)
         merged.update(data)
-        for key in ("potential", "deformation", "deformation2", "n_list", "s_list"):
+        n_list = merged["n_list"]
+        if not (isinstance(n_list, list) and n_list and all(map(_is_count, n_list))
+                and n_list == sorted(n_list)):
+            raise ConfigError("'n_list' must be a nonempty list of ascending positive integers")
+        # the numbers are stored as floats, so that 1 and 1.0 hash alike
+        for key in ("potential", "deformation", "deformation2", "s_list"):
             val = merged[key]
             if not (isinstance(val, list) and val and all(map(_is_number, val))):
                 raise ConfigError(f"'{key}' must be a nonempty list of finite numbers")
+            merged[key] = [float(v) for v in val]
         for key in ("t_param", "fredholm_L", "idpii_s_min", "idpii_s_max", "idpii_h_xi"):
             if not _is_number(merged[key]):
                 raise ConfigError(f"'{key}' must be a finite number")
-        for key in ("fredholm_m", "idpii_n_steps", "workers"):
+            merged[key] = float(merged[key])
+        for key in ("fredholm_m", "idpii_n_steps"):
             if not _is_count(merged[key]):
                 raise ConfigError(f"'{key}' must be a positive integer")
-        n_list = merged["n_list"]
-        if not all(map(_is_count, n_list)) or n_list != sorted(n_list):
-            raise ConfigError("'n_list' must hold ascending positive integers")
         if not merged["t_param"] > 0:
             raise ConfigError("'t_param' must be positive")
         if not isinstance(merged["out_dir"], str):
@@ -97,27 +99,23 @@ class LabConfig:
         return {k: getattr(self, k) for k in _DEFAULTS}
 
     def hash(self):
-        """SHA-256 of the canonical JSON form; equal configs hash equally.
+        """SHA-256 of the canonical JSON form of the values; equal configs hash equally.
 
-        Execution-only keys (output directory, worker count) do not affect
-        results and are excluded, so reruns are byte-identical regardless of
-        where or how parallel they run.
+        The output directory does not affect results and is excluded, so
+        reruns are byte-identical wherever they write.
         """
-        d = {k: v for k, v in self.to_dict().items()
-             if k not in ("out_dir", "workers")}
+        d = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
         canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def parse_config(path):
     """Read and validate a JSON configuration file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"configuration file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"unreadable configuration {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
     return LabConfig(data)
@@ -170,9 +168,9 @@ def emit(records, fmt, path):
         raise ConfigError(f"unknown output format: {fmt}")
 
 
-def _failed(study, params, exc, h):
+def _failed(study, params, exc):
     """The record of a point that raised: no value, the error text, verdict 'failed'."""
-    return ResultRecord(study, params, float("nan"), {"error": str(exc)}, "failed", h)
+    return ResultRecord(study, params, float("nan"), {"error": str(exc)}, "failed")
 
 
 def _isolated(fn, *args):
@@ -183,13 +181,13 @@ def _isolated(fn, *args):
         return exc
 
 
-def _summary(study, s, pairs, bound, h):
+def _summary(study, s, pairs, bound):
     """Convergence over n of (n, error) pairs: strictly decreasing, log-log slope <= bound."""
     ns, errs = zip(*pairs)
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0]) if len(ns) >= 2 else float("nan")
     return ResultRecord(study, (s,), slope, {"decreasing": int(decreasing)},
-                        "pass" if decreasing and slope <= bound else "fail", h)
+                        "pass" if decreasing and slope <= bound else "fail")
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,99 +206,91 @@ def _setup(cfg):
     return eq, Q, Q.t / eq.c_v
 
 
-def _solve_idpii(cfg, T):
-    """The id-PII solution at temperature T on the configuration's grid."""
+def _solve_idpii(cfg, T, S_read):
+    """The id-PII solution at temperature T, on a window that holds every S in S_read."""
+    outside = [float(S) for S in S_read if not cfg.idpii_s_min <= S <= cfg.idpii_s_max]
+    if outside:
+        raise ConfigError(f"id-PII at T = {float(T)} is read at S = {outside}, outside "
+                          f"[idpii_s_min, idpii_s_max] = [{cfg.idpii_s_min}, {cfg.idpii_s_max}]")
     return solve_idpii(T, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
                        h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
 
 
-def _theorem1_point(cfg_dict, n, s):
+def _theorem1_point(eq, Q, n, s):
     """Both finite-n routes to log L_n at (n, s)."""
-    eq, Q, _ = _setup(LabConfig(cfg_dict))
     grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
     return log_lstat_gamma(t_def, t_und, n), log_lstat_det(grid, t_und, n, lsig)
 
 
-def _theorem1_target(cfg_dict, s):
+def _theorem1_target(eq, Q, cfg, s):
     """The n-independent limit log det(I - K_{t_eff^3}) on L^2(s / t_eff, infinity)."""
-    cfg = LabConfig(cfg_dict)
-    eq, Q, _ = _setup(cfg)
     return float(np.log(fredholm_det_ft(-s * eq.c_v / Q.t, Q.t ** 3 / eq.c_v ** 3,
                                         cfg.fredholm_m, cfg.fredholm_L)))
 
 
-def _run_points(fn, cfg, points):
-    """Map fn over parameter points, in a process pool when cfg.workers > 1."""
-    cfg_dict = cfg.to_dict()
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=int(cfg.workers)) as pool:
-            futs = [pool.submit(fn, cfg_dict, *pt) for pt in points]
-            return [_isolated(f.result) for f in futs]
-    return [_isolated(fn, cfg_dict, *pt) for pt in points]
-
-
 def run_theorem1(cfg):
     """Per (n, s): both finite-n routes against the limiting log-determinant."""
-    h = cfg.hash()
-    targets = dict(zip(cfg.s_list, _run_points(_theorem1_target, cfg,
-                                               [(s,) for s in cfg.s_list])))
-    points = [(n, s) for s in cfg.s_list for n in cfg.n_list]
+    setup = _isolated(_setup, cfg)
     records = []
-    results = {}
-    for (n, s), out in zip(points, _run_points(_theorem1_point, cfg, points)):
-        tgt = targets[s]
-        if isinstance(tgt, Exception):
-            out = tgt
-        if isinstance(out, Exception):
-            records.append(_failed("theorem1", (n, s), out, h))
-            continue
-        lg, ld = out
-        err = abs(lg - tgt)
-        routes_ok = abs(lg - ld) <= 1e-6 * (1.0 + abs(lg))
-        records.append(ResultRecord("theorem1", (n, s), lg,
-                                    {"route_det": ld, "target": tgt, "error": err},
-                                    "pass" if routes_ok else "fail", h))
-        results.setdefault(s, []).append((n, err))
-    records += [_summary("theorem1-summary", s, pairs, -0.3, h) for s, pairs in results.items()]
+    for s in cfg.s_list:  # a set-up or target that raised fails every n of its s
+        tgt = setup if isinstance(setup, Exception) else \
+            _isolated(_theorem1_target, *setup[:2], cfg, s)
+        errs = []
+        for n in cfg.n_list:
+            out = tgt if isinstance(tgt, Exception) else \
+                _isolated(_theorem1_point, *setup[:2], n, s)
+            if isinstance(out, Exception):
+                records.append(_failed("theorem1", (n, s), out))
+                continue
+            lg, ld = out
+            err = abs(lg - tgt)
+            routes_ok = abs(lg - ld) <= 1e-6 * (1.0 + abs(lg))
+            records.append(ResultRecord("theorem1", (n, s), lg,
+                                        {"route_det": ld, "target": tgt, "error": err},
+                                        "pass" if routes_ok else "fail"))
+            errs.append((n, err))
+        if errs:
+            records.append(_summary("theorem1-summary", s, errs, -0.3))
     return records
 
 
 def run_theorem2(cfg):
     """Sup over a 5x5 grid of the finite-n edge kernel minus its limit."""
-    h = cfg.hash()
     eq, Q, t_eff = _setup(cfg)
-    sol = _solve_idpii(cfg, t_eff ** -1.5)
     s = cfg.s_list[0]
+    sol = _solve_idpii(cfg, t_eff ** -1.5, [s * t_eff ** -1.5])
     us = np.linspace(-2.0, 2.0, 5)
+    grid_uv = [(u, v) for u in us for v in us]
+    # the limit kernel does not depend on n; if it raises, every n fails with it
+    limit = _isolated(lambda: [k_infinity(sol, u, v, s, t_eff) for u, v in grid_uv])
 
     def sup_error(n):
         grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
-        return max(abs(rescaled_edge_kernel(eq, t_def, n, u, v)
-                       - k_infinity(sol, u, v, s, t_eff))
-                   for u in us for v in us)
+        return max(abs(rescaled_edge_kernel(eq, t_def, n, u, v) - k)
+                   for (u, v), k in zip(grid_uv, limit))
 
     records = []
     errs = []
     for n in cfg.n_list:
-        sup = _isolated(sup_error, n)
+        sup = limit if isinstance(limit, Exception) else _isolated(sup_error, n)
         if isinstance(sup, Exception):
-            records.append(_failed("theorem2", (n, s), sup, h))
+            records.append(_failed("theorem2", (n, s), sup))
             continue
         errs.append((n, sup))
-        records.append(ResultRecord("theorem2", (n, s), sup, {}, "pass", h))
+        records.append(ResultRecord("theorem2", (n, s), sup, {}, "pass"))
     if len(errs) >= 2:
-        records.append(_summary("theorem2-summary", s, errs, -0.2, h))
+        records.append(_summary("theorem2-summary", s, errs, -0.2))
     return records
 
 
 def run_theorem3(cfg):
     """Norming-constant corrections c_n = n^{1/3}(1/2 - rho_n) and Q-universality."""
-    h = cfg.hash()
     eq, Q1, t_eff = _setup(cfg)
     Q2 = DeformationQ(cfg.deformation2)
     if abs(Q1.t - Q2.t) > 1e-12:
         raise ConfigError("the two deformations must share t = -Q'(0)")
-    sol = _solve_idpii(cfg, t_eff ** -1.5)
+    scale = t_eff ** -1.5
+    sol = _solve_idpii(cfg, scale, [s * scale for s in cfg.s_list])
 
     def rho(Q, n, s):
         grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
@@ -313,20 +303,19 @@ def run_theorem3(cfg):
             for n in cfg.n_list:
                 r = _isolated(rho, Q, n, s)
                 if isinstance(r, Exception):
-                    records.append(_failed("theorem3", (label, n, s), r, h))
+                    records.append(_failed("theorem3", (label, n, s), r))
                     continue
                 c_n = n ** (1.0 / 3.0) * (0.5 - r)
                 c_by_q[(label, n, s)] = c_n
                 records.append(ResultRecord("theorem3", (label, n, s), r,
-                                            {"c_n": c_n}, "pass", h))
+                                            {"c_n": c_n}, "pass"))
     for n in cfg.n_list:
         for s in cfg.s_list:
             if ("Q1", n, s) in c_by_q and ("Q2", n, s) in c_by_q:
                 diff = abs(c_by_q[("Q1", n, s)] - c_by_q[("Q2", n, s)])
-                records.append(ResultRecord("theorem3-universality", (n, s), diff, {}, "pass", h))
+                records.append(ResultRecord("theorem3-universality", (n, s), diff, {}, "pass"))
     # s-differences of c_n against the antiderivative route, offset-free
     if len(cfg.s_list) >= 2:
-        scale = (t_eff) ** -1.5
         pred = {}
         for s in cfg.s_list:
             S_t = s * scale
@@ -339,14 +328,13 @@ def run_theorem3(cfg):
                     dp = pred[s] - pred[s0]
                     records.append(ResultRecord("theorem3-sdiff", (n, s0, s), dc,
                                                 {"predicted": dp, "error": abs(dc - dp)},
-                                                "pass", h))
+                                                "pass"))
     return records
 
 
 def run_crosschecks(cfg):
     """Trace identity, Szego limit, polylog identities, Fredholm convergence,
     and the local Tracy-Widom-type consistency check."""
-    h = cfg.hash()
     records = []
     eq, Q, _ = _setup(cfg)
 
@@ -355,18 +343,18 @@ def run_crosschecks(cfg):
     tr = kernel_trace(grid, t_und, n0, grid.log_w_und)
     records.append(ResultRecord("crosscheck-trace", (n0,), tr,
                                 {"target": float(n0)},
-                                "pass" if abs(tr - n0) <= 1e-8 * n0 else "fail", h))
+                                "pass" if abs(tr - n0) <= 1e-8 * n0 else "fail"))
 
     q0 = 64 ** (1.0 / 3.0) * szego_q0(eq, Q.poly, 64, 0.0)
     q0_lim = q0_limit(0.0, Q.t, eq.a)
     ratio = q0 / q0_lim
     records.append(ResultRecord("crosscheck-szego", (64,), ratio, {"q0": q0, "limit": q0_lim},
-                                "pass" if 0.85 <= ratio <= 1.15 else "fail", h))
+                                "pass" if 0.85 <= ratio <= 1.15 else "fail"))
 
     poly_err = max(abs(f_beta_quad(float(k), y) - f_k_closed(k, y))
                    for k in (1, 2, 3) for y in (0.0, 0.5, 2.0, 5.0))
     records.append(ResultRecord("crosscheck-polylog", (), poly_err, {},
-                                "pass" if poly_err <= 1e-10 else "fail", h))
+                                "pass" if poly_err <= 1e-10 else "fail"))
 
     # the convergence table and the stencil share (s, T = 1, m) at s = 0 and
     # -1 when fredholm_m is 80; the stencil's -0.0 is the key 0.0, and the
@@ -381,45 +369,42 @@ def run_crosschecks(cfg):
     conv = max(abs(det(s, T, 40) - det(s, T, 80))
                for s in (-1.0, 0.0, 1.0) for T in (0.125, 1.0, 8.0))
     records.append(ResultRecord("crosscheck-fredholm", (), conv, {},
-                                "pass" if conv < 1e-8 else "fail", h))
+                                "pass" if conv < 1e-8 else "fail"))
 
-    sol = _solve_idpii(cfg, 1.0)
+    sol = _solve_idpii(cfg, 1.0, (0.0, 1.0))
     spacing = 0.05
     for S in (0.0, 1.0):
         stencil = [float(np.log(det(-(S + j * spacing), 1.0, cfg.fredholm_m)))
                    for j in (-2, -1, 0, 1, 2)]
         res = tw_local_check(sol, S, stencil, spacing)
         records.append(ResultRecord("crosscheck-twlocal", (S,), res, {},
-                                    "pass" if res <= 2e-3 else "fail", h))
+                                    "pass" if res <= 2e-3 else "fail"))
     return records
 
 
 def _run_fredholm(cfg):
-    h = cfg.hash()
     T = cfg.t_param ** -1.5
     return [ResultRecord("fredholm", (s, T),
-                         fredholm_det_ft(s, T, cfg.fredholm_m, cfg.fredholm_L), {}, "pass", h)
+                         fredholm_det_ft(s, T, cfg.fredholm_m, cfg.fredholm_L), {}, "pass")
             for s in cfg.s_list]
 
 
 def _run_idpii_solve(cfg):
-    h = cfg.hash()
-    sol = _solve_idpii(cfg, cfg.t_param ** -1.5)
+    sol = _solve_idpii(cfg, cfg.t_param ** -1.5, ())
     stride = max(1, sol.S_grid.size // 50)
     return [ResultRecord("idpii", (float(S),), float(I),
-                         {"P": float(P), "truncated": int(flag)}, "pass", h)
+                         {"P": float(P), "truncated": int(flag)}, "pass")
             for S, I, P, flag in zip(sol.S_grid[::stride], sol.I_of_S[::stride],
                                      sol.P_of_S[::stride], sol.truncation_flags[::stride])]
 
 
 def _run_eqmeasure(cfg):
-    h = cfg.hash()
     eq = _equilibrium(*cfg.potential)
     recs = [ResultRecord("eqmeasure-data", (), eq.a,
-                         {"c_v": eq.c_v, "ell": eq.ell, "shift": eq.shift}, "pass", h)]
+                         {"c_v": eq.c_v, "ell": eq.ell, "shift": eq.shift}, "pass")]
     for x in np.linspace(-eq.a, 0.0, 21):
         recs.append(ResultRecord("eqmeasure-density", (float(x),),
-                                 float(eq.density(x)), {}, "pass", h))
+                                 float(eq.density(x)), {}, "pass"))
     return recs
 
 
@@ -443,22 +428,12 @@ def main(argv=None):
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", default="csv", choices=["csv", "json"])
-        p.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config) if args.config else LabConfig({})
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("'--workers' must be at least 1")
-            cfg.workers = args.workers
         if args.out is not None:
             cfg.out_dir = args.out
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         records = _STUDIES[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -466,6 +441,9 @@ def main(argv=None):
     except Exception as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    config_hash = cfg.hash()
+    for r in records:
+        r.config_hash = config_hash
 
     out_path = os.path.join(cfg.out_dir, f"{args.command}.{args.format}")
     try:

@@ -110,24 +110,27 @@ def shift_to_zero(V, b_plus):
     return Potential(V.poly.shift(b_plus).coeffs)
 
 
+def _series_division(c, a, powers):
+    """Coefficients of z^p, p in powers, of V'(z) (z(z+a))^{-1/2} expanded at infinity.
+
+    With V'(z) = sum_j c_j z^j and (z(z+a))^{-1/2} = sum_k b_k z^{-1-k},
+    b_k = binom(-1/2, k) a^k, the z^p coefficient is sum_j c_j b_{j-1-p}.
+    The arithmetic is in the type of a: float64 for h, long double for the tail.
+    """
+    d = c.size - 1  # degree of V'
+    b = [a ** 0]
+    for k in range(d - 1 - min(powers)):
+        b.append(b[k] * (-0.5 * (2 * k + 1) / (k + 1) * a))
+    return np.array([sum((c[j] * b[j - 1 - p] for j in range(max(p + 1, 0), d + 1)), a * 0)
+                     for p in powers])
+
+
 def compute_h(V_shifted, a):
     """Polynomial part h of V'(z) (z(z+a))^{-1/2} expanded at infinity."""
     if a <= 0:
         raise DomainError("support width must be positive")
     c = V_shifted.dpoly.coeffs
-    d = c.size - 1  # degree of V'
-    h = np.zeros(max(d - 1, 0) + 1)
-    # binom(-1/2, k) a^k, generated by recurrence
-    for m in range(h.size):
-        term = 1.0
-        acc = 0.0
-        for k in range(d - m):
-            j = m + 1 + k
-            if j < c.size:
-                acc += c[j] * term
-            term *= -0.5 * (2 * k + 1) / (k + 1) * a
-        h[m] = acc
-    return RealPolynomial(h)
+    return RealPolynomial(_series_division(c, a, range(max(c.size - 2, 0) + 1)))
 
 
 class EquilibriumData:
@@ -261,7 +264,7 @@ def _far_field_ell(eq, x):
     # outer part: G(s) = -(1/2) sqrt(s(s+a)) sum_{m>=1} d_{-m} s^{-m}, the
     # decaying remainder of the series division that defines h -- identical to
     # the inner integrand but free of cancellation for s > a.
-    dneg = _division_tail_coeffs(eq, n_terms=60)
+    dneg = _series_division(eq.V.dpoly.coeffs, a, range(-1, -61, -1))
 
     def outer(s):
         s = s.astype(ld)
@@ -278,25 +281,6 @@ def _far_field_ell(eq, x):
         breaks.extend(np.linspace(breaks[-1], sx, 5)[1:].tolist())
     total += integrate_panels(outer, PanelScheme(np.unique(breaks), RULE16))
     return float(total - 0.5 * eq.V(ld(0.0)) + np.log(ld(x)))
-
-
-def _division_tail_coeffs(eq, n_terms=60):
-    """Coefficients d_{-m}, m = 1..n_terms, of V'(z)(z(z+a))^{-1/2} - h(z)."""
-    c = eq.V.dpoly.coeffs
-    d = c.size - 1
-    a = eq.a
-    kmax = n_terms + d
-    binom = np.empty(kmax + 1, dtype=np.longdouble)
-    binom[0] = 1.0
-    for k in range(kmax):
-        binom[k + 1] = binom[k] * (-0.5 * (2 * k + 1) / (k + 1)) * np.longdouble(a)
-    out = np.empty(n_terms, dtype=np.longdouble)
-    for m in range(1, n_terms + 1):
-        acc = np.longdouble(0.0)
-        for j in range(d + 1):  # j = -m + 1 + k  =>  k = j + m - 1
-            acc += np.longdouble(c[j]) * binom[j + m - 1]
-        out[m - 1] = acc
-    return out
 
 
 def el_residual(eq, x):

@@ -23,7 +23,6 @@ class TestConfig:
         cfg = parse_config(write_config(tmp_path, {"potential": [2.0, 4.0, 2.0]}))
         assert cfg.n_list == [16, 32, 64]
         assert cfg.t_param == 1.0
-        assert cfg.workers == 1
 
     def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -48,7 +47,7 @@ class TestConfig:
             parse_config(str(p))
 
     def test_round_trip(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, {"s_list": [0.5], "workers": 2}))
+        cfg = parse_config(write_config(tmp_path, {"s_list": [0.5], "fredholm_m": 40}))
         again = LabConfig(json.loads(json.dumps(cfg.to_dict())))
         assert again.to_dict() == cfg.to_dict()
         assert again.hash() == cfg.hash()
@@ -58,6 +57,15 @@ class TestConfig:
         b = LabConfig({"s_list": [1.0]})
         assert a.hash() != b.hash()
         assert LabConfig({"s_list": [0.0]}).hash() == a.hash()
+
+    def test_hash_is_by_value(self):
+        # ints are stored as the floats they equal, so the spelling of a number
+        # does not change the hash
+        cfg = LabConfig({"t_param": 1, "potential": [2, 4, 2], "s_list": [0, 1]})
+        assert cfg.t_param == 1.0 and isinstance(cfg.t_param, float)
+        assert all(isinstance(v, float) for v in cfg.potential + cfg.s_list)
+        assert cfg.hash() == LabConfig({}).hash()
+        assert LabConfig({"fredholm_L": 10}).hash() == LabConfig({"fredholm_L": 10.0}).hash()
 
 
 class TestEmission:
@@ -116,7 +124,6 @@ class TestRunners:
             assert abs(r.value - r.aux["route_det"]) <= 1e-6 * (1 + abs(r.value))
         summary = [r for r in records if r.study == "theorem1-summary"]
         assert len(summary) == 1
-        assert all(r.config_hash == cfg.hash() for r in records)
 
     def test_equilibrium_built_once_per_potential(self, monkeypatch):
         built = []
@@ -136,6 +143,21 @@ class TestRunners:
         finally:
             cli._equilibrium.cache_clear()
         assert built == [(2.0, 4.0, 2.0), (0.0, 0.0, 0.5, 0.0, 0.05)]
+
+    def test_theorem2_limit_kernel_computed_once(self, monkeypatch):
+        # K_inf does not depend on n: one 5 x 5 grid, not one per n
+        calls = []
+        real = cli.k_infinity
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "k_infinity", counting)
+        records = cli.run_theorem2(LabConfig({"n_list": [4, 8, 16], "s_list": [0.0],
+                                              "idpii_h_xi": 0.25, "idpii_n_steps": 400}))
+        assert len(calls) == 25
+        assert len([r for r in records if r.study == "theorem2"]) == 3
 
 
 class TestTheorem1Target:
@@ -176,16 +198,6 @@ class TestTheorem1Target:
             assert rows[(n, 0.0)].verdict == "pass"
         summary = [r.params for r in records if r.study == "theorem1-summary"]
         assert summary == [(0.0,)]
-
-    def test_process_pool_writes_the_same_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, self.CFG)
-        codes = [main(["theorem1", "--config", cfg, "--out", str(tmp_path / w), "--workers", w])
-                 for w in ("1", "2")]
-        assert codes[0] == codes[1]
-        assert codes[0] in (0, 1)
-        a = (tmp_path / "1" / "theorem1.csv").read_bytes()
-        b = (tmp_path / "2" / "theorem1.csv").read_bytes()
-        assert a == b
 
 
 class TestCrosscheckDeterminants:
@@ -236,8 +248,44 @@ class TestMain:
     def test_missing_config_exit_two(self):
         assert main(["eqmeasure", "--config", "/no/such/file.json"]) == 2
 
-    def test_bad_worker_count_exit_two(self, tmp_path):
-        assert main(["eqmeasure", "--out", str(tmp_path), "--workers", "0"]) == 2
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exit_two(self, tmp_path, kind, capsys):
+        p = tmp_path / "config.json"
+        if kind == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes('{"s_list": [0.5], "out_dir": "r\xe9sultats"}'.encode("latin-1"))
+        assert main(["eqmeasure", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_workers_option_gone(self, tmp_path):
+        # every study runs in one process; the key and the flag are unknown
+        assert main(["eqmeasure", "--config", write_config(tmp_path, {"workers": 2}),
+                     "--out", str(tmp_path)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eqmeasure", "--out", str(tmp_path), "--workers", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("study, data", [
+        ("theorem2", {"s_list": [-1.3, 0.4, 2.7]}),
+        ("theorem3", {"s_list": [-1.3, 0.4, 2.7]}),
+        ("crosschecks", {"idpii_s_min": 0.5}),
+    ])
+    def test_idpii_window_missing_an_s_exit_two(self, tmp_path, study, data, capsys):
+        # theorem2 reads the solution at s_list[0] T, theorem3 at every s T
+        # (T = 2^{3/2} on the default potential), crosschecks at S = 0 and 1
+        cfg = write_config(tmp_path, data)
+        assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "idpii_s_min" in err
+
+    def test_every_row_carries_the_config_hash(self, tmp_path):
+        data = {"s_list": [0.5, 1], "t_param": 2}
+        assert main(["fredholm", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "fredholm.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert {row.rsplit(",", 1)[1] for row in rows} == {LabConfig(data).hash()}
 
     def test_io_error_exit_three(self, tmp_path):
         blocker = tmp_path / "file"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from airylab.equilibrium import (Potential, build_equilibrium, compute_h,
+from airylab.equilibrium import (Potential, _series_division, build_equilibrium, compute_h,
                                  conformal_psi, el_residual, lagrange_constant,
                                  phi_right, q0_limit, shift_to_zero,
                                  solve_support, szego_q0)
@@ -95,6 +95,19 @@ class TestComputeH:
         for z in (50.0, 100.0):
             lhs = eq_quartic.V.dpoly(z) / np.sqrt(z * (z + a))
             assert lhs == pytest.approx(eq_quartic.h(z), rel=1e-3)
+
+    def test_series_division_long_double_tail(self, eq_quartic):
+        # h plus the decaying tail, all in long double, is the whole expansion
+        # of V'(z) / sqrt(z(z+a)) for z > a; the truncation (a/z)^61 is ~1e-72 at z = 50
+        c = eq_quartic.V.dpoly.coeffs
+        a = np.longdouble(eq_quartic.a)
+        powers = range(c.size - 2, -61, -1)
+        coef = _series_division(c, a, powers)
+        assert coef.dtype == np.longdouble
+        for z in (np.longdouble(50.0), np.longdouble(100.0)):
+            series = sum(k * z ** p for p, k in zip(powers, coef))
+            exact = sum(cj * z ** j for j, cj in enumerate(c)) / np.sqrt(z * (z + a))
+            assert abs(series / exact - 1) < 1e-17
 
     def test_rejects_bad_width(self):
         with pytest.raises(DomainError):
