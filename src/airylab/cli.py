@@ -27,6 +27,7 @@ from .equilibrium import Potential, build_equilibrium, szego_q0, q0_limit
 from .ensemble import (DeformationQ, build_tables, kernel_trace,
                        log_lstat_det, log_lstat_gamma, norming_ratio,
                        rescaled_edge_kernel)
+from .errors import DomainError
 from .fredholm import fredholm_det_ft
 from .idpii import interp_P, k_infinity, solve_idpii, tw_local_check
 from .special import f_beta_quad, f_k_closed
@@ -81,6 +82,13 @@ class LabConfig:
             if not (isinstance(val, list) and val and all(map(_is_number, val))):
                 raise ConfigError(f"'{key}' must be a nonempty list of finite numbers")
             merged[key] = [float(v) for v in val]
+        # a potential or deformation the model refuses is a configuration error
+        for key, model in (("potential", Potential), ("deformation", DeformationQ),
+                           ("deformation2", DeformationQ)):
+            try:
+                model(merged[key])
+            except DomainError as exc:
+                raise ConfigError(f"'{key}' is refused: {exc}") from exc
         for key in ("t_param", "fredholm_L", "idpii_s_min", "idpii_s_max", "idpii_h_xi"):
             if not _is_number(merged[key]):
                 raise ConfigError(f"'{key}' must be a finite number")
@@ -230,15 +238,13 @@ def _theorem1_target(eq, Q, cfg, s):
 
 def run_theorem1(cfg):
     """Per (n, s): both finite-n routes against the limiting log-determinant."""
-    setup = _isolated(_setup, cfg)
+    eq, Q, _ = _setup(cfg)
     records = []
-    for s in cfg.s_list:  # a set-up or target that raised fails every n of its s
-        tgt = setup if isinstance(setup, Exception) else \
-            _isolated(_theorem1_target, *setup[:2], cfg, s)
+    for s in cfg.s_list:  # a target that raised fails every n of its s
+        tgt = _isolated(_theorem1_target, eq, Q, cfg, s)
         errs = []
         for n in cfg.n_list:
-            out = tgt if isinstance(tgt, Exception) else \
-                _isolated(_theorem1_point, *setup[:2], n, s)
+            out = tgt if isinstance(tgt, Exception) else _isolated(_theorem1_point, eq, Q, n, s)
             if isinstance(out, Exception):
                 records.append(_failed("theorem1", (n, s), out))
                 continue
@@ -290,7 +296,9 @@ def run_theorem3(cfg):
     if abs(Q1.t - Q2.t) > 1e-12:
         raise ConfigError("the two deformations must share t = -Q'(0)")
     scale = t_eff ** -1.5
-    sol = _solve_idpii(cfg, scale, [s * scale for s in cfg.s_list])
+    # only the s-differences read the solution, and one s has none
+    sol = _solve_idpii(cfg, scale, [s * scale for s in cfg.s_list]) \
+        if len(cfg.s_list) >= 2 else None
 
     def rho(Q, n, s):
         grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
@@ -315,7 +323,7 @@ def run_theorem3(cfg):
                 diff = abs(c_by_q[("Q1", n, s)] - c_by_q[("Q2", n, s)])
                 records.append(ResultRecord("theorem3-universality", (n, s), diff, {}, "pass"))
     # s-differences of c_n against the antiderivative route, offset-free
-    if len(cfg.s_list) >= 2:
+    if sol is not None:
         pred = {}
         for s in cfg.s_list:
             S_t = s * scale

@@ -6,10 +6,14 @@ The unknown Phi(xi | S, T) satisfies, as a function of S at each fixed xi,
     I(S) = int Phi(xi | S, T)^2 fermi_weight(xi) dxi,
 
 with Airy boundary data Phi ~ T^{1/6} Ai(T^{2/3} xi + S T^{-1/3}) for large S.
-The solver marches the coupled system (Phi, dPhi/dS, P), packed into one
-state vector, downward in S from S_max with numerics.ode_rk4 on a fixed xi
-grid; I(S) is one dot product with precomputed quadrature weights, and the
-anti-derivative P obeys dP/dS = S/(2T) + I(S)/T with P(S_max) = S_max^2/(4T).
+The solver marches (Phi, dPhi/dS), held as the two rows of one array,
+downward in S from S_max on a fixed xi grid with numerics.ode_rk4, classical
+RK4 in Runge-Kutta-Nystrom form: each step computes the four accelerations
+(xi + S/T + 2 I/T) Phi at the stage values of Phi, and takes the slopes of Phi
+from the stage values of dPhi/dS.  I(S) is one dot product with precomputed
+quadrature weights, and the anti-derivative P, which obeys
+dP/dS = S/(2T) + I(S)/T with P(S_max) = S_max^2/(4T), is carried alongside as
+a scalar with the RK4 weights.
 
 The limiting edge kernel K_infinity is built from interpolated (Phi, dPhi/dS)
 layers, and diagnostics compare second S-derivatives of log-Fredholm
@@ -75,18 +79,21 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
         wq[-2:] += 0.5 * h_xi
     wq *= w_xi
 
-    # packed state y = (Phi, dPhi/dS, P)
+    # state (Phi, dPhi/dS) as two rows; P rides along as ode_rk4's scalar q
     t16 = T ** (1.0 / 6.0)
     arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
-    y0 = np.concatenate([t16 * _airy_cut(arg0, cut=_AI_ZERO),
-                         (1.0 / t16) * _airy_cut(arg0, prime=True, cut=_AI_ZERO),
-                         [S_max * S_max / (4.0 * T)]])
+    state0 = np.array([t16 * _airy_cut(arg0, cut=_AI_ZERO),
+                       (1.0 / t16) * _airy_cut(arg0, prime=True, cut=_AI_ZERO)])
+    phi2 = np.empty(n_xi)  # Phi^2 and I(S) of the last accel call
+    I = 0.0
 
-    def rhs(S, y):
-        ph = y[:n_xi]
-        I = ph * ph @ wq
-        return np.concatenate([y[n_xi:-1], (xi + S / T + 2.0 * I / T) * ph,
-                               [S / (2.0 * T) + I / T]])
+    def accel(S, ph, out):
+        nonlocal I
+        np.multiply(ph, ph, out=phi2)
+        I = float(phi2 @ wq)
+        np.add(xi, S / T + 2.0 * I / T, out=out)
+        out *= ph
+        return S / (2.0 * T) + I / T
 
     n_layers = n_steps // store_stride + 1
     S_grid = np.empty(n_layers)
@@ -96,22 +103,22 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     P_of_S = np.empty(n_layers)
     flags = np.zeros(n_layers, dtype=bool)
 
-    def store(step, S, y):
+    def store(step, S, state, P):
+        # ode_rk4 has just called accel on this layer: phi2 and I are its own
         if step % store_stride:
             return
         layer = step // store_stride
-        ph = y[:n_xi]
         S_grid[layer] = S
-        Phi[layer] = ph
-        dPhi[layer] = y[n_xi:-1]
-        I_of_S[layer] = ph * ph @ wq
-        P_of_S[layer] = y[-1]
-        integrand = ph * ph * w_xi
+        Phi[layer], dPhi[layer] = state
+        I_of_S[layer] = I
+        P_of_S[layer] = P
+        integrand = phi2 * w_xi
         peak = max(float(np.max(integrand)), 1e-300)
         flags[layer] = max(integrand[0], integrand[-1]) > guard_tol * peak
 
     try:
-        ode_rk4(rhs, y0, S_max, S_min, n_steps, observer=store)
+        ode_rk4(accel, state0, S_max, S_min, n_steps, q0=S_max * S_max / (4.0 * T),
+                observer=store)
     except BlowUpError as exc:
         raise BlowUpError(f"id-PII {exc}", step=exc.step) from exc
     return IdPiiSolution(T, xi, S_grid, Phi, dPhi, I_of_S, P_of_S, flags)

@@ -159,6 +159,18 @@ class TestRunners:
         assert len(calls) == 25
         assert len([r for r in records if r.study == "theorem2"]) == 3
 
+    @pytest.mark.parametrize("s", [0.5, -1.3])
+    def test_theorem3_one_s_solves_no_idpii(self, monkeypatch, s):
+        # only the s-differences read the solution, and one s has none; so
+        # neither the solve nor its window check runs (-1.3 T = -3.7 lies
+        # below idpii_s_min = -2 at T = 2^{3/2})
+        calls = []
+        monkeypatch.setattr(cli, "solve_idpii", lambda *a, **k: calls.append(a))
+        records = cli.run_theorem3(LabConfig({"n_list": [4, 8], "s_list": [s]}))
+        assert calls == []
+        assert {r.study for r in records} == {"theorem3", "theorem3-universality"}
+        assert all(r.verdict == "pass" for r in records)
+
 
 class TestTheorem1Target:
     """The limit det(I - K) does not depend on n: one determinant per s."""
@@ -278,6 +290,19 @@ class TestMain:
         assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "idpii_s_min" in err
+
+    @pytest.mark.parametrize("study", ["theorem1", "theorem2", "eqmeasure"])
+    @pytest.mark.parametrize("data, key", [
+        ({"potential": [1.0, 0.0, -1.0]}, "potential"),
+        ({"deformation": [0.0, 1.0]}, "deformation"),
+    ])
+    def test_refused_potential_or_deformation_exit_two(self, tmp_path, capsys, study,
+                                                       data, key):
+        cfg = write_config(tmp_path, data)
+        assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}'" in err
+        assert not (tmp_path / f"{study}.csv").exists()
 
     def test_every_row_carries_the_config_hash(self, tmp_path):
         data = {"s_list": [0.5, 1], "t_param": 2}

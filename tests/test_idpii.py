@@ -7,7 +7,7 @@ from airylab.errors import BlowUpError, DomainError
 from airylab.fredholm import fredholm_det_ft
 from airylab.idpii import (interp_I, interp_P, interp_phi, k_infinity,
                            solve_idpii, tw_local_check, tw_windowed_integral)
-from airylab.special import airy_ai, airy_ai_prime, fermi_weight
+from airylab.special import _AI_ZERO, _airy_cut, airy_ai, airy_ai_prime, fermi_weight
 
 
 def _trapezoid(y, x):
@@ -25,6 +25,50 @@ def _simpson_trapezoid(y, h):
     if m < n:
         total += 0.5 * h * (y[-2] + y[-1])
     return total
+
+
+def _packed_rk4_march(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
+                      h_xi=0.04, n_steps=2800, store_stride=4, guard_tol=1e-10):
+    """The id-PII march as classical RK4 on the packed first-order state
+    y = (Phi, dPhi/dS, P): an oracle for solve_idpii's Runge-Kutta-Nystrom
+    march, with the same start data, quadrature and truncation guard.
+
+    Returns (S_grid, Phi, dPhi, I_of_S, P_of_S, flags) on the stored layers.
+    """
+    n_xi = int(round((xi_hi - xi_lo) / h_xi)) + 1
+    xi = xi_lo + h_xi * np.arange(n_xi)
+    w_xi = fermi_weight(xi)
+    wq = np.array([_simpson_trapezoid(e, h_xi) for e in np.eye(n_xi)]) * w_xi
+    t16 = T ** (1.0 / 6.0)
+    arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
+    y = np.concatenate([t16 * _airy_cut(arg0, cut=_AI_ZERO),
+                        (1.0 / t16) * _airy_cut(arg0, prime=True, cut=_AI_ZERO),
+                        [S_max * S_max / (4.0 * T)]])
+
+    def rhs(S, y):
+        ph = y[:n_xi]
+        I = ph * ph @ wq
+        return np.concatenate([y[n_xi:-1], (xi + S / T + 2.0 * I / T) * ph,
+                               [S / (2.0 * T) + I / T]])
+
+    h = (S_min - S_max) / n_steps
+    layers = []
+    for i in range(n_steps + 1):
+        S = S_max + h * i
+        if i % store_stride == 0:
+            ph = y[:n_xi]
+            integrand = ph * ph * w_xi
+            peak = max(float(np.max(integrand)), 1e-300)
+            layers.append((S, ph.copy(), y[n_xi:-1].copy(), ph * ph @ wq, y[-1],
+                           max(integrand[0], integrand[-1]) > guard_tol * peak))
+        if i == n_steps:
+            break
+        k1 = rhs(S, y)
+        k2 = rhs(S + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(S + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(S + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return tuple(np.array(col) for col in zip(*layers))
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +161,25 @@ class TestSolver:
         with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="id-PII") as exc:
             solve_idpii(1.0, S_min=-400.0, n_steps=40, store_stride=4)
         assert exc.value.step is not None
+
+    @pytest.mark.parametrize("T, tol", [(1.0, 1e-13), (1.0 / 16.0, 5e-11)])
+    def test_march_matches_packed_first_order_rk4(self, T, tol):
+        # the Nystrom march is the packed RK4 with its arithmetic regrouped:
+        # at T = 1 they agree to rounding; at T = 1/16 the data grows from
+        # about 1e-110 and the rounding grows with it.  Each difference is
+        # relative to the largest value of its layer (P: of the whole run)
+        S_ref, Phi_ref, dPhi_ref, I_ref, P_ref, flags_ref = _packed_rk4_march(T)
+        s = solve_idpii(T)
+
+        def layer_rel(a, b):
+            return np.max(np.abs(a - b), axis=-1) / np.max(np.abs(b), axis=-1)
+
+        assert np.array_equal(s.S_grid, S_ref)
+        assert np.max(layer_rel(s.Phi, Phi_ref)) <= tol
+        assert np.max(layer_rel(s.dPhi, dPhi_ref)) <= tol
+        assert np.max(np.abs(s.I_of_S - I_ref) / I_ref) <= tol
+        assert layer_rel(s.P_of_S, P_ref) <= tol
+        assert np.array_equal(s.truncation_flags, flags_ref)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
