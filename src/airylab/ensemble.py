@@ -5,10 +5,20 @@ The central objects are the orthogonal polynomials for the weights
     undeformed:  e^{-n V(x)}
     deformed:    sigma_n(x) e^{-n V(x)},   sigma_n(x) = 1/(1 + e^{-s - n^{2/3} Q(x)})
 
-on a panelized quadrature grid.  All recurrence data is kept in log scale so
-that n up to a few hundred poses no dynamic-range problem, and polynomial
-values are only ever materialized multiplied by half-weights e^{log w / 2},
-which keeps every intermediate quantity of order one.
+on a panelized quadrature grid.  All recurrence data is kept in log scale, and
+polynomial values are only ever materialized multiplied by half-weights
+e^{log w / 2}, which keeps every intermediate quantity of order one.  The
+recurrences start from e^{-nV/2} on the nodes, so n is bounded by that start
+staying a normal float (>= e^{-708.4}) on the support: n max V / 2 <= 708.4
+there, which is n <= 708 for V = 2(1+x)^2 (V = 2 at both edges).  Beyond the
+bound build_tables raises BreakdownError rather than return tables that have
+lost nodes.
+
+The Stieltjes procedure sweeps the nodes in place, on four preallocated
+buffers.  One generator of the three-term recurrence yields the weighted
+orthonormal values row by row: weighted_values stacks them into a matrix,
+kernel_trace sums their squares as they come and holds no n x N matrix, and
+the edge kernel runs the same recurrence on its two points as plain floats.
 
 Two independent routes to the multiplicative linear statistic
 L_n = E prod sigma_n(lambda_j) are provided: a ratio of norming constants
@@ -140,7 +150,8 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
     Builds alpha_k and log h_k, k < K, of the monic orthogonal polynomials of
     the discrete measure sum_i w_i e^{log_weight_i} delta_{x_i}.  Polynomial
     values are carried as p_k(x_i) e^{log_weight_i/2} e^{-Lambda_k} with a
-    running renormalization Lambda_k, so no intermediate ever overflows.
+    running renormalization Lambda_k, so no intermediate ever overflows.  A
+    step writes into four node-length buffers and allocates nothing.
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -149,29 +160,65 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
         raise DomainError("need 1 <= K <= number of nodes")
     alpha = np.empty(K)
     log_h = np.empty(K)
+    wx = w * x
     A = np.exp(0.5 * lw)  # p_0 = 1 at scale Lambda_0 = 0
     B = np.zeros_like(A)
+    C = np.empty_like(A)
+    T = np.empty_like(A)
     lam = 0.0
     lam_prev = 0.0
     for k in range(K):
-        norm2 = float(np.sum(w * A * A))
+        np.multiply(w, A, out=T)
+        T *= A
+        norm2 = float(T.sum())
         if not (np.isfinite(norm2) and norm2 > 0):
             raise BreakdownError(f"recurrence lost positivity at k={k}")
         log_h[k] = math.log(norm2) + 2.0 * lam
-        alpha[k] = float(np.sum(w * x * A * A)) / norm2
+        np.multiply(wx, A, out=T)
+        T *= A
+        alpha[k] = float(T.sum()) / norm2
         if k == K - 1:
             break
-        if k == 0:
-            C = (x - alpha[k]) * A
-        else:
+        np.subtract(x, alpha[k], out=C)
+        C *= A
+        if k:
             scale = math.exp(log_h[k] - log_h[k - 1] + lam_prev - lam)
-            C = (x - alpha[k]) * A - scale * B
-        m = float(np.max(np.abs(C)))
+            np.multiply(B, scale, out=T)
+            C -= T
+        m = float(np.abs(C, out=T).max())
         if not (np.isfinite(m) and m > 0):
             raise BreakdownError(f"recurrence degenerated at k={k}")
-        B, A = A, C / m
+        C /= m
+        A, B, C = C, A, B
         lam_prev, lam = lam, lam + math.log(m)
     return RecurrenceTable(alpha, log_h)
+
+
+def _rows(table, n, x, lwh):
+    """Phat_k(x) e^{lwh} for k = 0..n-1, one row at a time.
+
+    x and lwh are node arrays or plain floats: the one three-term recurrence
+    serves both, and e^{lwh} is rounded by np.exp either way, so a point gets
+    the same numbers in both forms.  The augmented assignments work in place
+    on arrays and rebind floats, so an array step allocates the new row and
+    one temporary.  Each row is a new object, so a caller may keep it.
+    """
+    if n > table.K - 1:
+        raise DomainError("table too short for requested n (need K >= n+1)")
+    al, sb = table.alpha.tolist(), table.sqrt_beta.tolist()
+    u = np.exp(lwh - 0.5 * table.log_h[0])
+    if isinstance(x, float):
+        u = float(u)
+    up = None
+    for k in range(n):
+        yield u
+        # Phat_{k+1} = ((x - alpha_k) Phat_k - sqrt(beta_k) Phat_{k-1}) / sqrt(beta_{k+1})
+        v = x - al[k]
+        v *= u
+        if k:
+            v -= up * sb[k - 1]
+        v /= sb[k]
+        u, up = v, u
 
 
 def weighted_values(table, n, x, log_w_half):
@@ -180,35 +227,24 @@ def weighted_values(table, n, x, log_w_half):
     Phat_k are the orthonormal polynomials of the table's measure; folding the
     half-weight into the recurrence keeps all values of moderate size.
     """
-    if n > table.K - 1:
-        raise DomainError("table too short for requested n (need K >= n+1)")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lwh = np.broadcast_to(np.asarray(log_w_half, dtype=float), x.shape)
     U = np.empty((n, x.size))
-    u_prev = np.zeros_like(x)
-    u = np.exp(lwh - 0.5 * table.log_h[0])
-    sb = table.sqrt_beta
-    for k in range(n):
+    for k, u in enumerate(_rows(table, n, x, lwh)):
         U[k] = u
-        u, u_prev = ((x - table.alpha[k]) * u - (sb[k - 1] if k else 0.0) * u_prev) / sb[k], u
     return U
 
 
-def cd_kernel(table, n, x, y):
-    """Christoffel-Darboux kernel K_n(x, y) = sum_{k<n} Phat_k(x) Phat_k(y).
-
-    An independent test oracle kept on purpose (tests/test_ensemble.py,
-    TestRecurrence::test_reproducing_property).
-    """
-    ux = weighted_values(table, n, [x], 0.0)[:, 0]
-    uy = weighted_values(table, n, [y], 0.0)[:, 0]
-    return float(np.sum(ux * uy))
-
-
 def kernel_trace(grid, table, n, log_weight):
-    """int K_n(x,x) w(x) dx over the grid; equals n for a consistent table."""
-    U = weighted_values(table, n, grid.nodes, 0.5 * np.asarray(log_weight))
-    return float(np.sum(grid.weights * np.einsum("ki,ki->i", U, U)))
+    """int K_n(x,x) w(x) dx over the grid; equals n for a consistent table.
+
+    K_n(x_i, x_i) w(x_i) = sum_k U_ki^2 is summed row by row as the recurrence
+    yields U, so no n x N matrix is formed.
+    """
+    diag = np.zeros(grid.nodes.size)
+    for u in _rows(table, n, grid.nodes, 0.5 * np.asarray(log_weight)):
+        diag += u * u
+    return float(np.sum(grid.weights * diag))
 
 
 def log_lstat_gamma(table_def, table_und, n):
@@ -282,28 +318,19 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes):
     return lu_logdet(np.eye(n) - M, where)
 
 
-def log_partition(table, n):
-    """log Z_n = log n! + sum_{k<n} log h_k (Heine / Hankel identity).
-
-    An independent test oracle kept on purpose (tests/test_ensemble.py,
-    TestLinearStatistic::test_partition_function_shift and
-    ::test_s_derivative_of_log_partition).
-    """
-    return math.lgamma(n + 1) + float(np.sum(table.log_h[:n]))
-
-
 def rescaled_edge_kernel(eq, table_def, n, u, v):
     """Edge-rescaled weighted CD kernel of the deformed ensemble.
 
     Returns e^{-n(V(u_n)+V(v_n))/2} K_n(u_n, v_n) / (c_V n^{2/3}) with
     u_n = u / (c_V n^{2/3}); the half-weights are folded into the recurrence
-    in log scale.
+    in log scale, which runs on the two points as plain floats.
     """
     scale = eq.c_v * float(n) ** (2.0 / 3.0)
     xy = np.array([u, v], dtype=float) / scale
     lwh = -0.5 * n * eq.V(xy)
-    U = weighted_values(table_def, n, xy, lwh)
-    return float(np.sum(U[:, 0] * U[:, 1])) / scale
+    (xu, xv), (lu, lv) = xy.tolist(), lwh.tolist()
+    rows = zip(_rows(table_def, n, xu, lu), _rows(table_def, n, xv, lv))
+    return float(np.sum([a * b for a, b in rows])) / scale
 
 
 def norming_ratio(eq, table_def, n):
@@ -314,8 +341,21 @@ def norming_ratio(eq, table_def, n):
 
 
 def build_tables(eq, Q, n, s):
-    """Convenience: grid plus deformed and undeformed recurrence tables, n + 1 terms."""
+    """Convenience: grid plus deformed and undeformed recurrence tables, n + 1 terms.
+
+    Raises BreakdownError, naming n and the worst node, where the start
+    e^{-nV/2} of the recurrences is below the smallest normal float on the
+    support [-a, 0]: the node would lose its digits, or drop out of the
+    measure, with no breakdown in the recurrence itself.
+    """
     grid = build_grid(eq, n)
+    on_support = np.flatnonzero((grid.nodes >= -eq.a) & (grid.nodes <= 0.0))
+    worst = on_support[np.argmin(grid.log_w_und[on_support])]
+    start = np.exp(0.5 * grid.log_w_und[worst])
+    if start < np.finfo(float).tiny:
+        raise BreakdownError(
+            f"build_tables at n={n}: the recurrence start e^(-nV/2) is {start:.3g} at the "
+            f"support node x={grid.nodes[worst]:.6g}, below the smallest normal float")
     lsig = log_sigma(Q, n, s, grid.nodes)
     t_und = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und, n + 1)
     t_def = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und + lsig, n + 1)

@@ -125,6 +125,16 @@ class TestRunners:
         summary = [r for r in records if r.study == "theorem1-summary"]
         assert len(summary) == 1
 
+    def test_theorem1_point_past_the_recurrence_range_fails(self):
+        # e^{-nV/2} is subnormal on the support at n = 768: that point fails
+        # with the guard's message, the others of its s still run
+        records = run_theorem1(LabConfig({"n_list": [16, 768], "s_list": [0.0],
+                                          "fredholm_m": 40}))
+        rows = {r.params[0]: r for r in records if r.study == "theorem1"}
+        assert rows[16].verdict == "pass"
+        assert rows[768].verdict == "failed"
+        assert "build_tables at n=768" in rows[768].aux["error"]
+
     def test_equilibrium_built_once_per_potential(self, monkeypatch):
         built = []
         real = cli.build_equilibrium

@@ -1,5 +1,6 @@
 """Tests for the deformed orthogonal-polynomial ensembles."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 
 from airylab import ensemble
 from airylab.ensemble import (DeformationQ, build_grid, build_tables,
-                              cd_kernel, deformation_matrix, kernel_trace,
-                              log_lstat_det, log_lstat_gamma, log_partition,
+                              deformation_matrix, kernel_trace,
+                              log_lstat_det, log_lstat_gamma,
                               log_sigma, norming_ratio, rescaled_edge_kernel,
                               stieltjes_recurrence, weighted_values)
 from airylab.equilibrium import Potential, build_equilibrium
 from airylab.errors import BreakdownError, DomainError
 from airylab.numerics import PanelScheme, gauss_legendre
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,18 @@ def eq_quartic():
 @pytest.fixture(scope="module")
 def q_linear():
     return DeformationQ([0.0, -1.0])
+
+
+@pytest.fixture(scope="module")
+def eqs(eq_sgue, eq_quartic):
+    return {"gaussian": eq_sgue, "quartic": eq_quartic}
+
+
+@pytest.fixture(scope="module")
+def tables(eqs, q_linear):
+    """build_tables(potential, n, s), each built once for the module."""
+    return functools.lru_cache(maxsize=None)(
+        lambda potential, n, s: build_tables(eqs[potential], q_linear, n, s))
 
 
 class TestDeformation:
@@ -94,7 +109,7 @@ class TestRecurrence:
             kz = weighted_values(t_und, n, [z], 0.0)[:, 0]
             # int K(x,y) K(y,z) w(y) dy = sum_k kx_k kz_k
             lhs = float(np.sum(grid.weights * (kx @ U) * (kz @ U)))
-            rhs = cd_kernel(t_und, n, x, z)
+            rhs = oracles.cd_kernel(t_und, n, x, z)
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_recurrence_needs_enough_nodes(self):
@@ -129,7 +144,7 @@ class TestLinearStatistic:
     def test_partition_function_shift(self, eq_sgue, q_linear):
         n = 6
         grid, t_und, t_def, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
-        diff = log_partition(t_def, n) - log_partition(t_und, n)
+        diff = oracles.log_partition(t_def, n) - oracles.log_partition(t_und, n)
         assert diff == pytest.approx(log_lstat_gamma(t_def, t_und, n), abs=1e-10)
 
     def test_s_derivative_of_log_partition(self, eq_sgue, q_linear):
@@ -138,7 +153,7 @@ class TestLinearStatistic:
         vals = {}
         for sh in (-ds, 0.0, ds):
             grid, t_und, t_def, lsig = build_tables(eq_sgue, q_linear, n, s + sh)
-            vals[sh] = (log_partition(t_def, n), grid, t_def, lsig)
+            vals[sh] = (oracles.log_partition(t_def, n), grid, t_def, lsig)
         fd = (vals[ds][0] - vals[-ds][0]) / (2 * ds)
         _, grid, t_def, lsig = vals[0.0]
         # d log sigma / ds = 1 - sigma = -expm1(log sigma)
@@ -151,15 +166,11 @@ class TestLinearStatistic:
 class TestTrimmedDeformation:
     """log_lstat_det from the nodes that carry M against the full-grid product."""
 
-    @pytest.fixture(scope="class")
-    def eqs(self, eq_sgue, eq_quartic):
-        return {"gaussian": eq_sgue, "quartic": eq_quartic}
-
     @pytest.mark.parametrize("potential", ["gaussian", "quartic"])
     @pytest.mark.parametrize("n", [64, 256])
-    def test_matches_full_grid_gemm(self, eqs, q_linear, potential, n):
+    def test_matches_full_grid_gemm(self, tables, potential, n):
         for s in (-3.0, 0.0, 3.0):
-            grid, t_und, _, lsig = build_tables(eqs[potential], q_linear, n, s)
+            grid, t_und, _, lsig = tables(potential, n, s)
             U = weighted_values(t_und, n, grid.nodes, 0.5 * grid.log_w_und)
             full = (U * (grid.weights * -np.expm1(lsig))) @ U.T
             _, oracle = np.linalg.slogdet(np.eye(n) - full)
@@ -186,13 +197,14 @@ class TestTrimmedDeformation:
         assert 0.0 < dropped <= ensemble.DROP_TOL
 
     def test_peak_memory(self, eq_sgue, q_linear):
-        # one n x N slab of U in kernel_trace, less in log_lstat_det; no
-        # second slab for a product or a transpose
+        # log_lstat_det: one n x N slab of U, less after the trim, and no second
+        # slab for a product or a transpose; kernel_trace: a few node-length
+        # arrays, no slab at all
         n = 256
         grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
-        slab = n * grid.nodes.size * 8
-        for fn, args, limit in ((log_lstat_det, (grid, t_und, n, lsig), 1.5),
-                                (kernel_trace, (grid, t_und, n, grid.log_w_und), 1.2)):
+        node_array = grid.nodes.size * 8
+        for fn, args, limit in ((log_lstat_det, (grid, t_und, n, lsig), 1.5 * n * node_array),
+                                (kernel_trace, (grid, t_und, n, grid.log_w_und), 16 * node_array)):
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -200,7 +212,63 @@ class TestTrimmedDeformation:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak <= limit * slab, (fn.__name__, peak / slab)
+            assert peak <= limit, (fn.__name__, peak / node_array)
+
+
+class TestStreamedRecurrences:
+    """The in-place Stieltjes sweep and the streamed three-term recurrence do the
+    arithmetic of the allocating loops in oracles.py, in the same order."""
+
+    EDGE_PAIRS = ((-2.0, 1.5), (1.5, -2.0), (0.3, 0.3), (4.0, -5.0))
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic"])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("s", [-3.0, 0.0, 3.0])
+    def test_bitwise_equal_to_allocating_loops(self, eqs, tables, potential, n, s):
+        grid, t_und, t_def, lsig = tables(potential, n, s)
+        for table, lw in ((t_und, grid.log_w_und), (t_def, grid.log_w_und + lsig)):
+            ref = oracles.stieltjes_recurrence(grid.nodes, grid.weights, lw, n + 1)
+            assert np.array_equal(table.alpha, ref.alpha)
+            assert np.array_equal(table.log_h, ref.log_h)
+            assert kernel_trace(grid, table, n, lw) == oracles.kernel_trace(grid, table, n, lw)
+        lwh = 0.5 * grid.log_w_und
+        assert np.array_equal(weighted_values(t_und, n, grid.nodes, lwh),
+                              oracles.weighted_values(t_und, n, grid.nodes, lwh))
+        eq = eqs[potential]
+        for u, v in self.EDGE_PAIRS:
+            assert (rescaled_edge_kernel(eq, t_def, n, u, v)
+                    == oracles.rescaled_edge_kernel(eq, t_def, n, u, v))
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic"])
+    def test_edge_kernel_float_path_matches_array_path(self, eqs, tables, potential):
+        eq, n = eqs[potential], 64
+        _, _, t_def, _ = tables(potential, n, 0.0)
+        scale = eq.c_v * float(n) ** (2.0 / 3.0)
+        # many points, so that a start value rounded otherwise than by np.exp shows
+        us = np.linspace(-6.0, 6.0, 97)
+        for u, v in zip(us, us[::-1] + 0.1):
+            xy = np.array([u, v]) / scale
+            U = weighted_values(t_def, n, xy, -0.5 * n * eq.V(xy))
+            assert rescaled_edge_kernel(eq, t_def, n, u, v) == np.sum(U[:, 0] * U[:, 1]) / scale
+
+
+class TestRecurrenceRange:
+    """The recurrences start from e^{-nV/2}: past the n where that leaves the
+    normal floats on the support, build_tables refuses (n = 709 on 2(1+x)^2)."""
+
+    def test_start_below_normal_floats_raises(self, eq_sgue, q_linear):
+        with pytest.raises(BreakdownError) as exc:
+            build_tables(eq_sgue, q_linear, 768, 0.0)
+        msg = str(exc.value)
+        assert "build_tables at n=768" in msg and "support node x=" in msg
+
+    def test_inside_the_range_tables_unchanged(self, eq_sgue, q_linear):
+        n = 704
+        grid, t_und, t_def, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
+        for table, lw in ((t_und, grid.log_w_und), (t_def, grid.log_w_und + lsig)):
+            ref = oracles.stieltjes_recurrence(grid.nodes, grid.weights, lw, n + 1)
+            assert np.array_equal(table.alpha, ref.alpha)
+            assert np.array_equal(table.log_h, ref.log_h)
 
 
 class TestDeterminantErrors:
