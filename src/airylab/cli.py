@@ -74,8 +74,9 @@ class LabConfig:
         merged.update(data)
         n_list = merged["n_list"]
         if not (isinstance(n_list, list) and n_list and all(map(_is_count, n_list))
-                and n_list == sorted(n_list)):
-            raise ConfigError("'n_list' must be a nonempty list of ascending positive integers")
+                and all(a < b for a, b in zip(n_list, n_list[1:]))):
+            raise ConfigError("'n_list' must be a nonempty list of strictly ascending "
+                              "positive integers")
         # the numbers are stored as floats, so that 1 and 1.0 hash alike
         for key in ("potential", "deformation", "deformation2", "s_list"):
             val = merged[key]
@@ -190,10 +191,11 @@ def _isolated(fn, *args):
 
 
 def _summary(study, s, pairs, bound):
-    """Convergence over n of (n, error) pairs: strictly decreasing, log-log slope <= bound."""
+    """Convergence over n of two or more (n, error) pairs: strictly decreasing,
+    log-log slope <= bound."""
     ns, errs = zip(*pairs)
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
-    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0]) if len(ns) >= 2 else float("nan")
+    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
     return ResultRecord(study, (s,), slope, {"decreasing": int(decreasing)},
                         "pass" if decreasing and slope <= bound else "fail")
 
@@ -255,7 +257,7 @@ def run_theorem1(cfg):
                                         {"route_det": ld, "target": tgt, "error": err},
                                         "pass" if routes_ok else "fail"))
             errs.append((n, err))
-        if errs:
+        if len(errs) >= 2:
             records.append(_summary("theorem1-summary", s, errs, -0.3))
     return records
 

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import BreakdownError, DomainError
-from .numerics import RULE16, PanelScheme, RealPolynomial, lu_logdet
+from .numerics import PanelScheme, RealPolynomial, lu_logdet
 from .special import log_logistic
 
 
@@ -128,7 +128,7 @@ def build_grid(eq, n):
     breaks.insert(0, left_core - (left_core - left_win) * glen[::-1])
     breaks.append(right_core + (right_win - right_core) * glen)
     bp = np.unique(np.concatenate(breaks))
-    return EnsembleGrid(eq, n, PanelScheme(bp, RULE16))
+    return EnsembleGrid(eq, n, PanelScheme(bp))
 
 
 class RecurrenceTable:

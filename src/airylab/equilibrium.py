@@ -7,17 +7,18 @@ the right edge to the origin the density takes the form
     rho(x) = (1/2 pi) sqrt(|x|(x+a)) h(x),      x in [-a, 0],
 
 with h a polynomial obtained from V' by series division.  This module locates
-the support, builds h, and exposes the derived objects used at the soft edge:
-the exterior phase phi, the conformal map psi, the edge constant c_V, the
-Lagrange multiplier (computed by two independent routes and cross-checked),
-and the Szego-type integral of a merging deformation together with its
-closed-form n -> infinity limit.
+the support, builds h, and derives what the studies use at the soft edge: the
+edge constant c_V, the Lagrange multiplier (computed by two independent routes
+and cross-checked), and the Szego-type integral of a merging deformation
+together with its closed-form n -> infinity limit.  The exterior phase phi,
+the conformal map psi and the Euler-Lagrange residual, which only the tests
+evaluate, are test oracles in tests/oracles.py.
 """
 
 import numpy as np
 
 from .errors import BreakdownError, ConvergenceError, DomainError, InconsistencyError
-from .numerics import RULE16, PanelScheme, RealPolynomial, gauss_legendre, integrate_panels
+from .numerics import PanelScheme, RealPolynomial, gauss_legendre, integrate_panels
 from .special import f_beta_quad, log_logistic
 
 _RULE64 = gauss_legendre(64)
@@ -154,36 +155,6 @@ class EquilibriumData:
         return out if out.ndim else out[()]
 
 
-def _phi_scheme(z):
-    n_panels = max(8, int(np.ceil(np.sqrt(z) / 0.25)))
-    breaks = np.linspace(0.0, np.sqrt(z), n_panels + 1)
-    return PanelScheme(breaks, RULE16)
-
-
-def phi_right(eq, z):
-    """Exterior phase phi(z) = int_0^z (1/2) sqrt(s(s+a)) h(s) ds for z >= 0.
-
-    Uses the substitution s = w^2, which makes the integrand smooth at the
-    origin.  An independent test oracle kept on purpose, with conformal_psi
-    (tests/test_equilibrium.py, TestEdgeFunctions).
-    """
-    if z < 0:
-        raise DomainError("phi_right needs z >= 0")
-    if z == 0:
-        return 0.0
-    return float(integrate_panels(lambda w: w * w * np.sqrt(w * w + eq.a) * eq.h(w * w),
-                                  _phi_scheme(z)))
-
-
-def conformal_psi(eq, z):
-    """Conformal edge coordinate psi(z) = ((3/2) phi(z))^{2/3}, psi'(0) = c_V.
-
-    An independent test oracle kept on purpose (tests/test_equilibrium.py,
-    TestEdgeFunctions::test_conformal_map_derivative_is_cv).
-    """
-    return (1.5 * phi_right(eq, z)) ** (2.0 / 3.0)
-
-
 def _graded_breaks(lo, hi, sing, n_geo=45):
     """Panel breakpoints on [lo, hi], geometrically refined toward sing."""
     pts = [lo, hi]
@@ -215,7 +186,7 @@ def _log_potential(eq, x0):
         breaks = _graded_breaks(0.0, np.pi, sing)
     else:
         breaks = np.linspace(0.0, np.pi, 33)
-    scheme = PanelScheme(breaks, RULE16)
+    scheme = PanelScheme(breaks)
     vals = integrand(scheme.nodes)
     vals[~np.isfinite(vals)] = 0.0  # node exactly at the log singularity
     integral = float(np.sum(vals * scheme.weights))
@@ -260,7 +231,7 @@ def _far_field_ell(eq, x):
 
     w1 = np.sqrt(x1)
     total = integrate_panels(inner, PanelScheme(
-        np.linspace(0.0, w1, max(16, int(np.ceil(w1 / 0.25))) + 1), RULE16))
+        np.linspace(0.0, w1, max(16, int(np.ceil(w1 / 0.25))) + 1)))
     # outer part: G(s) = -(1/2) sqrt(s(s+a)) sum_{m>=1} d_{-m} s^{-m}, the
     # decaying remainder of the series division that defines h -- identical to
     # the inner integrand but free of cancellation for s > a.
@@ -279,19 +250,8 @@ def _far_field_ell(eq, x):
     while sx < x:
         sx = min(2.0 * sx, x)
         breaks.extend(np.linspace(breaks[-1], sx, 5)[1:].tolist())
-    total += integrate_panels(outer, PanelScheme(np.unique(breaks), RULE16))
+    total += integrate_panels(outer, PanelScheme(np.unique(breaks)))
     return float(total - 0.5 * eq.V(ld(0.0)) + np.log(ld(x)))
-
-
-def el_residual(eq, x):
-    """Euler-Lagrange residual -U(x) - V(x)/2 - ell (zero on the support).
-
-    An independent test oracle kept on purpose (tests/test_equilibrium.py,
-    TestEdgeFunctions::test_el_residual_signs, and acceptance criterion 12).
-    """
-    if eq.ell is None:
-        raise DomainError("equilibrium data has no Lagrange constant yet")
-    return -_log_potential(eq, float(x)) - 0.5 * float(eq.V(x)) - eq.ell
 
 
 def build_equilibrium(V):
@@ -336,7 +296,7 @@ def szego_q0(eq, q_poly, n, s):
     breaks = np.unique(np.concatenate([
         np.pi * 0.5 ** np.arange(0, 60.0), [0.0, np.pi],
         np.linspace(0.0, np.pi, 17)]))
-    scheme = PanelScheme(breaks, RULE16)
+    scheme = PanelScheme(breaks)
     x = -a * np.sin(0.5 * scheme.nodes) ** 2
     vals = log_logistic(s + float(n) ** (2.0 / 3.0) * q_poly(x))
     return -np.sum(vals * scheme.weights) / (2.0 * np.pi)

@@ -14,29 +14,17 @@ construction; the finite-temperature one is a single rank-k product over a
 shared zeta panel grid, so it is also positive semidefinite.  The log-det is
 numerics.lu_logdet, which refuses a determinant that is not positive and
 names the kernel, s, T and m.  The map scale L means a different thing for
-each map; see build_nystrom and build_nystrom_airy.
+each map; see build_nystrom and build_nystrom_airy.  The kernels are never
+evaluated one point at a time here: the pointwise K_T(u, v) and K_Ai(u, v)
+are test oracles (tests/oracles.py), which the tests compare entry by entry
+with these matrices.
 """
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (RULE16, PanelScheme, gauss_legendre, lu_logdet, map_log_linear,
-                       map_semi_infinite)
-from .special import _AI_CUT, _airy_cut, airy_ai, airy_ai_prime, logistic
-
-
-def airy_kernel(u, v):
-    """Classical Airy kernel, with the confluent diagonal handled explicitly.
-
-    An independent test oracle kept on purpose (tests/test_fredholm.py,
-    TestAiryKernel): build_nystrom_airy assembles the same kernel vectorized.
-    """
-    if min(u, v) > _AI_CUT:
-        return 0.0
-    if abs(u - v) < 1e-5:
-        m = 0.5 * (u + v)
-        return airy_ai_prime(m) ** 2 - m * airy_ai(m) ** 2
-    return (airy_ai(u) * airy_ai_prime(v) - airy_ai_prime(u) * airy_ai(v)) / (u - v)
+from .numerics import PanelScheme, gauss_legendre, lu_logdet, map_log_linear, map_semi_infinite
+from .special import _airy_cut, logistic
 
 
 def _zeta_scheme(T, x_min):
@@ -50,23 +38,7 @@ def _zeta_scheme(T, x_min):
     hi = min(max((45.0 * 0.75) ** (2.0 / 3.0) - x_min, lo + 1.0), 60.0)
     width = min(0.5, 5.0 / t13)
     n_panels = int(np.ceil((hi - lo) / width))
-    return PanelScheme(np.linspace(lo, hi, n_panels + 1), RULE16)
-
-
-def ft_airy_kernel(u, v, T):
-    """Finite-temperature Airy kernel K_T(u, v) by panel quadrature.
-
-    An independent test oracle kept on purpose (tests/test_fredholm.py,
-    TestFtKernel): build_nystrom assembles the kernel matrix in one matmul.
-    """
-    if T <= 0:
-        raise DomainError("temperature parameter must be positive")
-    if min(u, v) > _AI_CUT:
-        return 0.0
-    scheme = _zeta_scheme(T, min(u, v))
-    z = scheme.nodes
-    f = logistic(T ** (1.0 / 3.0) * z) * _airy_cut(u + z) * _airy_cut(z + v)
-    return float(np.sum(f * scheme.weights))
+    return PanelScheme(np.linspace(lo, hi, n_panels + 1))
 
 
 def _half_line_nodes(m, half_line_map, *params):

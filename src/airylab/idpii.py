@@ -214,19 +214,3 @@ def tw_local_check(sol, S, fredholm_values, spacing=0.05):
     rhs = -(interp_I(sol, S) - 0.5 * S) / sol.T
     return abs(d2 - rhs)
 
-
-def tw_windowed_integral(sol, S, S_cut):
-    """-(1/T) int_S^{S_cut} (v - S)(I(v) - v/2) dv on the stored layer grid.
-
-    An independent test oracle kept on purpose (tests/test_idpii.py,
-    TestTracyWidomChecks::test_windowed_integral_finite).
-    """
-    Sg = sol.S_grid
-    mask = (Sg >= S) & (Sg <= S_cut)
-    v = Sg[mask][::-1]  # ascending
-    if v.size < 3:
-        raise DomainError("window contains too few stored layers")
-    integrand = (v - S) * (sol.I_of_S[mask][::-1] - 0.5 * v)
-    # trapezoid rule written out: np.trapz is gone in numpy 2, np.trapezoid is not in 1.24
-    trap = (np.diff(v) * (integrand[1:] + integrand[:-1]) / 2.0).sum()
-    return -trap / sol.T

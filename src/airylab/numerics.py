@@ -132,9 +132,9 @@ RULE16 = gauss_legendre(16)  # the panel rule shared by every module
 
 
 class PanelScheme:
-    """A partition of an interval into panels sharing one reference rule."""
+    """A partition of an interval into panels, each carrying RULE16."""
 
-    def __init__(self, breakpoints, rule):
+    def __init__(self, breakpoints):
         breakpoints = np.asarray(breakpoints, dtype=float)
         if breakpoints.ndim != 1 or breakpoints.size < 2:
             raise DomainError("need at least two breakpoints")
@@ -142,16 +142,10 @@ class PanelScheme:
             raise DomainError("breakpoints must be finite")
         if not np.all(np.diff(breakpoints) > 0):
             raise DomainError("breakpoints must be strictly increasing")
-        self.breakpoints = breakpoints
-        self.rule = rule
         mid = 0.5 * (breakpoints[1:] + breakpoints[:-1])
         half = 0.5 * np.diff(breakpoints)
-        self.nodes = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-        self.weights = (half[:, None] * rule.weights[None, :]).ravel()
-
-    @property
-    def n_panels(self):
-        return self.breakpoints.size - 1
+        self.nodes = (mid[:, None] + half[:, None] * RULE16.nodes[None, :]).ravel()
+        self.weights = (half[:, None] * RULE16.weights[None, :]).ravel()
 
 
 def integrate_panels(f, scheme):
@@ -165,7 +159,7 @@ def integrate_panels(f, scheme):
         raise DomainError("integrand must return one value per node")
     if not np.all(np.isfinite(vals)):
         raise DomainError("integrand produced non-finite values")
-    per_panel = (vals * scheme.weights).reshape(-1, scheme.rule.size).sum(axis=1)
+    per_panel = (vals * scheme.weights).reshape(-1, RULE16.size).sum(axis=1)
     return np.cumsum(per_panel)[-1]  # cumsum adds strictly left to right
 
 

@@ -8,8 +8,9 @@ one Taylor march: the positive expansion where its remainder is below 1e-24,
 and a march down the line from there.  At run time the same expansion, in long
 double, serves (_AI_CUT, _DOMAIN].  The polylog-type integrals
 F_beta(y) = int_0^inf v^beta log(1+e^{-y-v}) dv come in two independent routes
-(direct quadrature and an accelerated alternating series) so each can serve as
-the other's oracle.
+(direct quadrature, for 2 beta + 1 a non-negative integer, and an accelerated
+alternating series, for integer beta >= 0 and y >= 0) so each can serve as the
+other's oracle.
 """
 
 import math
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import RULE16, PanelScheme, integrate_panels
+from .numerics import PanelScheme, integrate_panels
 
 # pi to more digits than long double carries
 _PI = np.longdouble("3.14159265358979323846264338327950288420")
@@ -244,37 +245,25 @@ def logistic(z):
 def f_beta_quad(beta, y):
     """F_beta(y) = int_0^infty v^beta log(1 + e^{-y-v}) dv by panel quadrature.
 
-    Requires beta > -1.  For half-integer and integer beta the substitution
-    v = w^2 renders the integrand smooth at the origin; other beta use the
-    power-removing substitution v = w^{1/(1+beta)}.
+    Defined for beta with 2 beta + 1 a non-negative integer (beta = -1/2, 0,
+    1/2, 1, ...), where the substitution v = w^2 renders the integrand smooth
+    at the origin.  Any other beta raises DomainError.
     """
-    if not beta > -1:
-        raise DomainError("f_beta_quad needs beta > -1")
+    two_beta = 2.0 * beta + 1.0
+    if not (np.isfinite(two_beta) and round(two_beta) >= 0
+            and abs(two_beta - round(two_beta)) < 1e-12):
+        raise DomainError("f_beta_quad needs 2 beta + 1 a non-negative integer")
     if not np.isfinite(y):
         raise DomainError("y must be finite")
-    v_max = max(0.0, -y) + 50.0
-    two_beta = 2.0 * beta + 1.0
-    if abs(two_beta - round(two_beta)) < 1e-12 and round(two_beta) >= 0:
-        # v = w^2 : integrand 2 w^{2 beta + 1} log(1+e^{-y-w^2})
-        p = round(two_beta)
-        w_max = np.sqrt(v_max)
-        width = 0.2
+    # v = w^2 : integrand 2 w^{2 beta + 1} log(1+e^{-y-w^2})
+    p = round(two_beta)
+    w_max = np.sqrt(max(0.0, -y) + 50.0)
 
-        def f(w):
-            return 2.0 * w ** p * np.log1p(np.exp(-np.minimum(y + w * w, 700.0)))
+    def f(w):
+        return 2.0 * w ** p * np.log1p(np.exp(-np.minimum(y + w * w, 700.0)))
 
-    else:
-        # v = w^{1/(1+beta)} : dv v^beta = dw / (1+beta)
-        q = 1.0 / (1.0 + beta)
-        w_max = v_max ** (1.0 + beta)
-        width = max(w_max / 400.0, 1e-3)
-
-        def f(w):
-            v = w ** q
-            return np.log1p(np.exp(-np.minimum(y + v, 700.0))) / (1.0 + beta)
-
-    breaks = np.linspace(0.0, w_max, int(np.ceil(w_max / width)) + 1)
-    return integrate_panels(f, PanelScheme(breaks, RULE16))
+    breaks = np.linspace(0.0, w_max, int(np.ceil(w_max / 0.2)) + 1)
+    return integrate_panels(f, PanelScheme(breaks))
 
 
 def f_k_closed(k, y):

@@ -1,11 +1,19 @@
-"""Independent oracles for the finite-n ensemble tests.
+"""Independent oracles for the tests; nothing in the program calls them.
 
-The allocating loops of the recurrences (Stieltjes procedure, weighted
-orthonormal values, kernel trace, edge kernel) as straight array code: the
-in-place and streamed forms in airylab.ensemble do the same arithmetic in the
-same order, so the tests require bitwise equality with these.  cd_kernel and
-log_partition are built on them and on the recurrence data alone; nothing in
-the program calls them.
+Finite-n ensemble: the allocating loops of the recurrences (Stieltjes
+procedure, weighted orthonormal values, kernel trace, edge kernel) as straight
+array code.  The in-place and streamed forms in airylab.ensemble do the same
+arithmetic in the same order, so the tests require bitwise equality with
+these.  cd_kernel and log_partition are built on them and on the recurrence
+data alone.
+
+Equilibrium edge data: the exterior phase phi_right, the conformal map
+conformal_psi and the Euler-Lagrange residual el_residual, which the tests
+hold against the closed forms and against c_V and the Lagrange constant.
+
+Airy kernels: the pointwise classical kernel airy_kernel and the
+finite-temperature kernel ft_airy_kernel, which the tests compare entry by
+entry with the Nystrom matrices of airylab.fredholm.
 """
 
 import math
@@ -13,6 +21,11 @@ import math
 import numpy as np
 
 from airylab.ensemble import RecurrenceTable
+from airylab.equilibrium import _log_potential
+from airylab.errors import DomainError
+from airylab.fredholm import _zeta_scheme
+from airylab.numerics import PanelScheme, integrate_panels
+from airylab.special import _airy_cut, logistic
 
 
 def stieltjes_recurrence(nodes, weights, log_weight, K):
@@ -82,3 +95,62 @@ def cd_kernel(table, n, x, y):
 def log_partition(table, n):
     """log Z_n = log n! + sum_{k<n} log h_k (Heine / Hankel identity)."""
     return math.lgamma(n + 1) + float(np.sum(table.log_h[:n]))
+
+
+def _phi_scheme(z):
+    n_panels = max(8, int(np.ceil(np.sqrt(z) / 0.25)))
+    return PanelScheme(np.linspace(0.0, np.sqrt(z), n_panels + 1))
+
+
+def phi_right(eq, z):
+    """Exterior phase phi(z) = int_0^z (1/2) sqrt(s(s+a)) h(s) ds for z >= 0.
+
+    Uses the substitution s = w^2, which makes the integrand smooth at the
+    origin.
+    """
+    if z < 0:
+        raise DomainError("phi_right needs z >= 0")
+    if z == 0:
+        return 0.0
+    return float(integrate_panels(lambda w: w * w * np.sqrt(w * w + eq.a) * eq.h(w * w),
+                                  _phi_scheme(z)))
+
+
+def conformal_psi(eq, z):
+    """Conformal edge coordinate psi(z) = ((3/2) phi(z))^{2/3}, psi'(0) = c_V."""
+    return (1.5 * phi_right(eq, z)) ** (2.0 / 3.0)
+
+
+def el_residual(eq, x):
+    """Euler-Lagrange residual -U(x) - V(x)/2 - ell (zero on the support)."""
+    if eq.ell is None:
+        raise DomainError("equilibrium data has no Lagrange constant yet")
+    return -_log_potential(eq, float(x)) - 0.5 * float(eq.V(x)) - eq.ell
+
+
+def airy_kernel(u, v):
+    """Classical Airy kernel, with the confluent diagonal handled explicitly.
+
+    Each Airy factor is cut to zero beyond 30, as in build_nystrom_airy, so
+    the kernel is defined at every mapped node, however far out.
+    """
+    if abs(u - v) < 1e-5:
+        m = 0.5 * (u + v)
+        return float(_airy_cut(m, prime=True) ** 2 - m * _airy_cut(m) ** 2)
+    return float((_airy_cut(u) * _airy_cut(v, prime=True)
+                  - _airy_cut(u, prime=True) * _airy_cut(v)) / (u - v))
+
+
+def ft_airy_kernel(u, v, T):
+    """Finite-temperature Airy kernel K_T(u, v) by panel quadrature in zeta.
+
+    The zeta grid is fredholm._zeta_scheme at min(u, v).  There is no cut on
+    u and v: at small T the Fermi factor reaches far to the left, and K_T is
+    not negligible at u = v = 35 (9.5e-9 at T = 1/8).
+    """
+    if T <= 0:
+        raise DomainError("temperature parameter must be positive")
+    scheme = _zeta_scheme(T, min(u, v))
+    z = scheme.nodes
+    f = logistic(T ** (1.0 / 3.0) * z) * _airy_cut(u + z) * _airy_cut(z + v)
+    return float(np.sum(f * scheme.weights))

@@ -19,11 +19,13 @@ import pytest
 from airylab.ensemble import (DeformationQ, build_tables, kernel_trace,
                               log_lstat_det, log_lstat_gamma, norming_ratio,
                               rescaled_edge_kernel)
-from airylab.equilibrium import (Potential, build_equilibrium, el_residual,
-                                 q0_limit, solve_support, szego_q0)
+from airylab.equilibrium import (Potential, build_equilibrium, q0_limit, solve_support,
+                                 szego_q0)
 from airylab.fredholm import fredholm_det_airy, fredholm_det_ft
 from airylab.idpii import interp_I, k_infinity, solve_idpii, tw_local_check
 from airylab.special import airy_ai, airy_ai_prime, f_beta_quad, f_k_closed
+
+from oracles import el_residual
 
 
 def _trapezoid(y, x):

@@ -314,6 +314,22 @@ class TestMain:
         assert "configuration error" in err and f"'{key}'" in err
         assert not (tmp_path / f"{study}.csv").exists()
 
+    @pytest.mark.parametrize("study", ["theorem1", "theorem2"])
+    def test_repeated_n_exit_two(self, tmp_path, capsys, study):
+        # a repeated n would write its rows twice and fit a slope over one n
+        cfg = write_config(tmp_path, {"n_list": [16, 16]})
+        assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'n_list'" in err
+        assert not (tmp_path / f"{study}.csv").exists()
+
+    def test_theorem1_one_n_exit_zero_without_summary(self, tmp_path):
+        # a convergence summary needs two n, as in theorem2
+        cfg = write_config(tmp_path, {"n_list": [16]})
+        assert main(["theorem1", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "theorem1.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",", 1)[0] for row in rows] == ["theorem1", "theorem1"]
+
     def test_every_row_carries_the_config_hash(self, tmp_path):
         data = {"s_list": [0.5, 1], "t_param": 2}
         assert main(["fredholm", "--config", write_config(tmp_path, data),

@@ -14,7 +14,7 @@ from airylab.ensemble import (DeformationQ, build_grid, build_tables,
                               stieltjes_recurrence, weighted_values)
 from airylab.equilibrium import Potential, build_equilibrium
 from airylab.errors import BreakdownError, DomainError
-from airylab.numerics import PanelScheme, gauss_legendre
+from airylab.numerics import PanelScheme
 
 import oracles
 
@@ -76,7 +76,7 @@ class TestHermiteOracle:
 
     @pytest.fixture(scope="class")
     def table(self):
-        scheme = PanelScheme(np.linspace(-10.0, 10.0, 81), gauss_legendre(16))
+        scheme = PanelScheme(np.linspace(-10.0, 10.0, 81))
         return stieltjes_recurrence(scheme.nodes, scheme.weights,
                                     -scheme.nodes ** 2, 21)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from airylab.equilibrium import (Potential, _series_division, build_equilibrium, compute_h,
-                                 conformal_psi, el_residual, lagrange_constant,
-                                 phi_right, q0_limit, shift_to_zero,
-                                 solve_support, szego_q0)
+                                 lagrange_constant, q0_limit, solve_support, szego_q0)
 from airylab.errors import DomainError
 from airylab.numerics import RealPolynomial
+
+from oracles import conformal_psi, el_residual, phi_right
 
 
 def _trapezoid(y, x):

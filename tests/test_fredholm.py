@@ -5,10 +5,11 @@ import pytest
 
 from airylab import fredholm
 from airylab.errors import BreakdownError, DomainError
-from airylab.fredholm import (airy_kernel, build_nystrom,
-                              build_nystrom_airy, fredholm_det_airy,
-                              fredholm_det_ft, ft_airy_kernel)
+from airylab.fredholm import build_nystrom, build_nystrom_airy, fredholm_det_airy, fredholm_det_ft
+from airylab.numerics import map_log_linear, map_semi_infinite
 from airylab.special import airy_ai_prime
+
+from oracles import airy_kernel, ft_airy_kernel
 
 # Tracy-Widom GUE distribution at the origin, F_2(0), from mesh-refined
 # self-convergent evaluation (m = 80, 160, 320 agree to 13 digits).
@@ -58,6 +59,32 @@ class TestFtKernel:
     def test_rejects_bad_temperature(self):
         with pytest.raises(DomainError):
             ft_airy_kernel(0.0, 0.0, -1.0)
+
+
+class TestNystromMatchesPointwiseKernels:
+    """Each matrix entry is sw_i sw_j K(x_i, x_j), with the nodes x and square-root
+    weights sw of the builder's own map; this checks the node map, the weights and
+    the assembly, while the zeta quadrature is checked by the frozen KT1_00."""
+
+    @staticmethod
+    def pointwise(kernel, x, sw):
+        return np.array([[sw[i] * sw[j] * kernel(x[i], x[j]) for j in range(x.size)]
+                         for i in range(x.size)])
+
+    @pytest.mark.parametrize("s, T, m", [(0.0, 1.0, 40), (1.0, 8.0, 60), (-2.0, 0.125, 40),
+                                         (3.0, 4000.0, 80), (-12.0, 0.125, 80)])
+    def test_finite_temperature(self, s, T, m):
+        # build_nystrom's map, with its default L = 10
+        x, sw = fredholm._half_line_nodes(m, map_log_linear, s, 5.0 + max(s, 0.0),
+                                          2.0 / T ** (1.0 / 3.0))
+        ref = self.pointwise(lambda u, v: ft_airy_kernel(u, v, T), x, sw)
+        assert np.max(np.abs(build_nystrom(s, T, m) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("s, m", [(0.0, 40), (-8.0, 60), (5.0, 80)])
+    def test_classical(self, s, m):
+        x, sw = fredholm._half_line_nodes(m, map_semi_infinite, s, 10.0)
+        ref = self.pointwise(airy_kernel, x, sw)
+        assert np.max(np.abs(build_nystrom_airy(s, m) - ref)) <= 1e-15
 
 
 class TestNystromOperator:

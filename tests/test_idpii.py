@@ -6,7 +6,7 @@ import pytest
 from airylab.errors import BlowUpError, DomainError
 from airylab.fredholm import fredholm_det_ft
 from airylab.idpii import (interp_I, interp_P, interp_phi, k_infinity,
-                           solve_idpii, tw_local_check, tw_windowed_integral)
+                           solve_idpii, tw_local_check)
 from airylab.special import _AI_ZERO, _airy_cut, airy_ai, airy_ai_prime, fermi_weight
 
 
@@ -265,12 +265,6 @@ class TestTracyWidomChecks:
     def test_local_check_input_validation(self, sol):
         with pytest.raises(DomainError):
             tw_local_check(sol, 0.0, [1.0, 2.0, 3.0])
-
-    def test_windowed_integral_finite(self, sol):
-        v = tw_windowed_integral(sol, 0.0, 10.0)
-        assert np.isfinite(v)
-        with pytest.raises(DomainError):
-            tw_windowed_integral(sol, 11.97, 12.0)
 
 
 class TestFermiWeightUse:
