@@ -83,6 +83,9 @@ class LabConfig:
             if not (isinstance(val, list) and val and all(map(_is_number, val))):
                 raise ConfigError(f"'{key}' must be a nonempty list of finite numbers")
             merged[key] = [float(v) for v in val]
+        # a repeated s would repeat rows, and give theorem3 zero-width s-differences
+        if len(set(merged["s_list"])) < len(merged["s_list"]):
+            raise ConfigError("'s_list' must not repeat an entry")
         # a potential or deformation the model refuses is a configuration error
         for key, model in (("potential", Potential), ("deformation", DeformationQ),
                            ("deformation2", DeformationQ)):

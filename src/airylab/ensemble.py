@@ -335,8 +335,6 @@ def rescaled_edge_kernel(eq, table_def, n, u, v):
 
 def norming_ratio(eq, table_def, n):
     """rho_n = (4 pi / a) exp(2 n ell_V - log h_{n-1}(s)); tends to 1/2."""
-    if eq.ell is None:
-        raise DomainError("equilibrium data lacks the Lagrange constant")
     return (4.0 * np.pi / eq.a) * math.exp(2.0 * n * eq.ell - table_def.log_h[n - 1])
 
 

@@ -8,20 +8,27 @@ the right edge to the origin the density takes the form
 
 with h a polynomial obtained from V' by series division.  This module locates
 the support, builds h, and derives what the studies use at the soft edge: the
-edge constant c_V, the Lagrange multiplier (computed by two independent routes
-and cross-checked), and the Szego-type integral of a merging deformation
+edge constant c_V, the Lagrange multiplier ell in closed form from the cosine
+expansion of log|cos theta - cos phi| (checked by the Euler-Lagrange equality
+across the support), and the Szego-type integral of a merging deformation
 together with its closed-form n -> infinity limit.  The exterior phase phi,
-the conformal map psi and the Euler-Lagrange residual, which only the tests
-evaluate, are test oracles in tests/oracles.py.
+the conformal map psi and a quadrature of the Euler-Lagrange residual, which
+only the tests evaluate, are test oracles in tests/oracles.py.
 """
 
 import numpy as np
 
 from .errors import BreakdownError, ConvergenceError, DomainError, InconsistencyError
-from .numerics import PanelScheme, RealPolynomial, gauss_legendre, integrate_panels
+from .numerics import PanelScheme, RealPolynomial, gauss_legendre
 from .special import f_beta_quad, log_logistic
 
 _RULE64 = gauss_legendre(64)
+# the Euler-Lagrange equality is checked at x = -a sin^2(phi/2), both edges included
+_EL_PHI = np.linspace(0.0, np.pi, 9)
+# both bounds sit far above rounding: on the potentials of the tests and the
+# benchmark |mass - 1| <= 2.7e-15 and the spread of ell(phi) <= 2.6e-15
+_MASS_TOL = 1e-10
+_EL_TOL = 1e-10
 
 
 class Potential:
@@ -111,40 +118,35 @@ def shift_to_zero(V, b_plus):
     return Potential(V.poly.shift(b_plus).coeffs)
 
 
-def _series_division(c, a, powers):
-    """Coefficients of z^p, p in powers, of V'(z) (z(z+a))^{-1/2} expanded at infinity.
+def compute_h(V_shifted, a):
+    """Polynomial part h of V'(z) (z(z+a))^{-1/2} expanded at infinity.
 
     With V'(z) = sum_j c_j z^j and (z(z+a))^{-1/2} = sum_k b_k z^{-1-k},
-    b_k = binom(-1/2, k) a^k, the z^p coefficient is sum_j c_j b_{j-1-p}.
-    The arithmetic is in the type of a: float64 for h, long double for the tail.
+    b_k = binom(-1/2, k) a^k, the z^p coefficient of h is sum_j c_j b_{j-1-p}.
     """
-    d = c.size - 1  # degree of V'
-    b = [a ** 0]
-    for k in range(d - 1 - min(powers)):
-        b.append(b[k] * (-0.5 * (2 * k + 1) / (k + 1) * a))
-    return np.array([sum((c[j] * b[j - 1 - p] for j in range(max(p + 1, 0), d + 1)), a * 0)
-                     for p in powers])
-
-
-def compute_h(V_shifted, a):
-    """Polynomial part h of V'(z) (z(z+a))^{-1/2} expanded at infinity."""
     if a <= 0:
         raise DomainError("support width must be positive")
     c = V_shifted.dpoly.coeffs
-    return RealPolynomial(_series_division(c, a, range(max(c.size - 2, 0) + 1)))
+    d = c.size - 1  # degree of V'
+    b = [1.0]
+    for k in range(d - 1):
+        b.append(b[k] * (-0.5 * (2 * k + 1) / (k + 1) * a))
+    return RealPolynomial([sum((c[j] * b[j - 1 - p] for j in range(p + 1, d + 1)), 0.0)
+                           for p in range(max(d - 1, 0) + 1)])
 
 
 class EquilibriumData:
-    """Support width a, edge polynomial h, and derived constants (shifted frame)."""
+    """Support width a, edge polynomial h, Lagrange constant ell and edge constant c_V
+    (shifted frame)."""
 
-    def __init__(self, V_shifted, a, h, shift):
+    def __init__(self, V_shifted, a, h, shift, ell):
         self.V = V_shifted
         self.a = a
         self.h = h
         self.shift = shift  # original b_plus: x_orig = x_shifted + shift
+        self.ell = ell
         h0 = h(0.0)
         self.c_v = 2.0 ** (-2.0 / 3.0) * h0 ** (2.0 / 3.0) * a ** (1.0 / 3.0)
-        self.ell = None  # filled by build_equilibrium
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -155,131 +157,82 @@ class EquilibriumData:
         return out if out.ndim else out[()]
 
 
-def _graded_breaks(lo, hi, sing, n_geo=45):
-    """Panel breakpoints on [lo, hi], geometrically refined toward sing."""
-    pts = [lo, hi]
-    for side, end in ((-1.0, lo), (1.0, hi)):
-        span = abs(end - sing)
-        if span <= 0:
-            continue
-        d = span
-        for _ in range(n_geo):
-            d *= 0.5
-            pts.append(sing + side * d)
-    # a few uniform points away from the singularity
-    pts.extend(np.linspace(lo, hi, 9).tolist())
-    pts = np.unique(np.clip(np.asarray(pts), lo, hi))
-    return pts[np.concatenate(([True], np.diff(pts) > 1e-300))]
+def _sin2_h_cosines(h, a):
+    """Coefficients g_j of g(theta) = sin^2(theta) h(-a sin^2(theta/2)) = sum_j g_j cos(j theta).
 
-
-def _log_potential(eq, x0):
-    """U(x0) = -int log|x0 - y| rho(y) dy via the theta substitution."""
-    a, h = eq.a, eq.h
-
-    def integrand(theta):
-        y = -a * np.sin(0.5 * theta) ** 2
-        return np.sin(theta) ** 2 * h(y) * np.log(np.abs(x0 - y))
-
-    if -a < x0 < 0:
-        c = 1.0 - 2.0 * abs(x0) / a
-        sing = float(np.arccos(np.clip(c, -1.0, 1.0)))
-        breaks = _graded_breaks(0.0, np.pi, sing)
-    else:
-        breaks = np.linspace(0.0, np.pi, 33)
-    scheme = PanelScheme(breaks)
-    vals = integrand(scheme.nodes)
-    vals[~np.isfinite(vals)] = 0.0  # node exactly at the log singularity
-    integral = float(np.sum(vals * scheme.weights))
-    return -(a * a / (8.0 * np.pi)) * integral
-
-
-def lagrange_constant(eq):
-    """Lagrange multiplier ell of the equilibrium problem, two routes.
-
-    Route 1 evaluates ell = -U(x0) - V(x0)/2 at the interior point x0 = -a/2
-    with log-graded quadrature.  Route 2 uses the far-field expansion
-    phi(x) = V(x)/2 + ell - log x + c1/x + c2/x^2 + ... at x = 1e4, 2e4, 4e4
-    with Richardson elimination of the 1/x and 1/x^2 terms, in extended
-    precision.  Returns (ell, route2_value); callers decide how strictly to
-    compare.
+    g is a polynomial of degree m - 1 = deg h + 2 in c = cos(theta), since
+    -a sin^2(theta/2) = -a(1 - c)/2 and sin^2(theta) = 1 - c^2.  The cosines
+    cos(j theta_k), j < m, are orthogonal on the m angles
+    theta_k = pi (k + 1/2) / m, so the discrete cosine sums there give the g_j
+    exactly, up to rounding.
     """
-    x0 = -0.5 * eq.a
-    route1 = -_log_potential(eq, x0) - 0.5 * eq.V(x0)
-    vals = [_far_field_ell(eq, x) for x in (1.0e4, 2.0e4, 4.0e4)]
-    route2 = (vals[0] - 6.0 * vals[1] + 8.0 * vals[2]) / 3.0
-    return route1, route2
+    m = h.coeffs.size + 2
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    vals = np.sin(theta) ** 2 * h(-a * np.sin(0.5 * theta) ** 2)
+    g = (2.0 / m) * (np.cos(np.outer(np.arange(m), theta)) @ vals)
+    g[0] *= 0.5
+    return g
 
 
-def _far_field_ell(eq, x):
-    """phi(x) - V(x)/2 + log x without large cancellations.
+def lagrange_constant(V_shifted, a, g):
+    """ell(phi) = -U(x) - V(x)/2 at the support points x = -a sin^2(phi/2), phi in _EL_PHI.
 
-    phi - V/2 is accumulated as the integral of the O(1/s) difference
-    (1/2) sqrt(s(s+a)) h(s) - V'(s)/2, written in the s = w^2 variable, so the
-    huge polynomial parts cancel inside each integrand evaluation (done in
-    extended precision) rather than between two large totals.
+    U(x) = -int log|x - y| rho(y) dy is the log potential of the density,
+    rho(y) dy = (a^2/8pi) g(theta) dtheta with y = -a sin^2(theta/2) and g from
+    _sin2_h_cosines.  Then x - y = (a/2)(cos phi - cos theta), and
+    log|cos theta - cos phi| = -log 2 - 2 sum_{k>=1} cos(k theta) cos(k phi)/k
+    (Saff and Totik, Logarithmic Potentials with External Fields, 1997) gives,
+    for unit mass a^2 g_0/8 = 1,
+
+        ell(phi) = log(a/4) - (a^2/8) sum_{j>=1} g_j cos(j phi)/j - V(x)/2,
+
+    a finite sum.  The Euler-Lagrange equality makes ell(phi) the same
+    constant at every point of the support; the first entry (phi = 0) is the
+    right edge x = 0, the last (phi = pi) the left edge x = -a.
     """
-    ld = np.longdouble
-    a = ld(eq.a)
-    x1 = max(25.0, 16.0 * eq.a)  # crossover to the series tail
-    if x <= 2.0 * x1:
-        raise DomainError("far-field point too close to the support")
-    # inner part, s = w^2: integrand w^2 sqrt(w^2+a) h(w^2) - w V'(w^2)
-    def inner(w):
-        w = w.astype(ld)
-        s = w * w
-        return s * np.sqrt(s + a) * eq.h(s) - w * eq.V.d(s)
-
-    w1 = np.sqrt(x1)
-    total = integrate_panels(inner, PanelScheme(
-        np.linspace(0.0, w1, max(16, int(np.ceil(w1 / 0.25))) + 1)))
-    # outer part: G(s) = -(1/2) sqrt(s(s+a)) sum_{m>=1} d_{-m} s^{-m}, the
-    # decaying remainder of the series division that defines h -- identical to
-    # the inner integrand but free of cancellation for s > a.
-    dneg = _series_division(eq.V.dpoly.coeffs, a, range(-1, -61, -1))
-
-    def outer(s):
-        s = s.astype(ld)
-        tail = np.zeros_like(s)
-        for m in range(dneg.size - 1, -1, -1):
-            tail = tail / s + dneg[m]
-        tail = tail / s  # now sum d_{-m} s^{-m}, m >= 1
-        return -0.5 * np.sqrt(s * (s + a)) * tail
-
-    breaks = [x1]
-    sx = x1
-    while sx < x:
-        sx = min(2.0 * sx, x)
-        breaks.extend(np.linspace(breaks[-1], sx, 5)[1:].tolist())
-    total += integrate_panels(outer, PanelScheme(np.unique(breaks)))
-    return float(total - 0.5 * eq.V(ld(0.0)) + np.log(ld(x)))
+    j = np.arange(1, g.size)
+    series = np.cos(np.outer(_EL_PHI, j)) @ (g[1:] / j)
+    x = -a * np.sin(0.5 * _EL_PHI) ** 2
+    return np.log(0.25 * a) - (0.125 * a * a) * series - 0.5 * V_shifted(x)
 
 
 def build_equilibrium(V):
     """Full equilibrium pipeline with structural guards.
 
-    Locates the support, shifts the right edge to zero, builds h, verifies
-    one-cut regularity (h > 0 on the support), unit mass, and agreement of the
-    two Lagrange-constant routes to 1e-7.
+    Locates the support, shifts the right edge to zero, builds h and the
+    Lagrange constant ell, and verifies one-cut regularity (h > 0 on the
+    support), unit mass to _MASS_TOL, and the Euler-Lagrange equality: the
+    spread of ell(phi) over the points of _EL_PHI, edges included, stays within
+    _EL_TOL (1 + |ell|).  On x^2/2 + x^4/20 a support shifted by 1e-9 spreads
+    ell(phi) by 3.1e-9 while the mass stays 1 to rounding, and a width off by
+    1e-6 moves the mass by 7.7e-7.  Each guard raises with the stage, the
+    coefficients of V, the measured value and the bound.
     """
     if not isinstance(V, Potential):
         V = Potential(V)
+    where = f"equilibrium stage, V = {V.poly.coeffs.tolist()}"
     b_minus, b_plus = solve_support(V)
     a = b_plus - b_minus
     Vs = shift_to_zero(V, b_plus)
     h = compute_h(Vs, a)
-    grid = np.linspace(-a, 0.0, 101)
-    if np.any(h(grid) <= 0):
-        raise BreakdownError("h is not strictly positive on the support (not one-cut regular)")
-    eq = EquilibriumData(Vs, a, h, b_plus)
-    t, w = _theta_nodes()
-    mass = (a * a / (8.0 * np.pi)) * np.sum(w * np.sin(t) ** 2 * h(-a * np.sin(0.5 * t) ** 2))
-    if abs(mass - 1.0) > 1e-10:
-        raise InconsistencyError(f"equilibrium measure mass {mass} != 1")
-    r1, r2 = lagrange_constant(eq)
-    if abs(r1 - r2) > 1e-7:
-        raise InconsistencyError(f"Lagrange constant routes disagree: {r1} vs {r2}")
-    eq.ell = r1
-    return eq
+    h_min = float(np.min(h(np.linspace(-a, 0.0, 101))))
+    if h_min <= 0:
+        raise BreakdownError(f"{where}: h is not strictly positive on the support (not one-cut "
+                             f"regular): min h = {h_min!r}, bound > 0")
+    g = _sin2_h_cosines(h, a)
+    mass = float(a * a * g[0] / 8.0)
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise InconsistencyError(f"{where}: the equilibrium measure has mass {mass!r}, "
+                                 f"|mass - 1| = {abs(mass - 1.0):.3g} > bound {_MASS_TOL:g}")
+    ells = lagrange_constant(Vs, a, g)
+    ell = float(ells[0])
+    spread = float(np.ptp(ells))
+    bound = _EL_TOL * (1.0 + abs(ell))
+    if not spread <= bound:
+        raise InconsistencyError(f"{where}: the Lagrange constant ell(phi) spreads by "
+                                 f"{spread:.3g} over {ells.size} support points, "
+                                 f"> bound {bound:.3g} (Euler-Lagrange equality)")
+    return EquilibriumData(Vs, a, h, b_plus, ell)
 
 
 def szego_q0(eq, q_poly, n, s):

@@ -10,6 +10,9 @@ data alone.
 Equilibrium edge data: the exterior phase phi_right, the conformal map
 conformal_psi and the Euler-Lagrange residual el_residual, which the tests
 hold against the closed forms and against c_V and the Lagrange constant.
+el_residual integrates the log potential by graded panel quadrature in the
+angle, a route independent of the cosine expansion that gives ell in
+airylab.equilibrium.
 
 Airy kernels: the pointwise classical kernel airy_kernel and the
 finite-temperature kernel ft_airy_kernel, which the tests compare entry by
@@ -21,7 +24,6 @@ import math
 import numpy as np
 
 from airylab.ensemble import RecurrenceTable
-from airylab.equilibrium import _log_potential
 from airylab.errors import DomainError
 from airylab.fredholm import _zeta_scheme
 from airylab.numerics import PanelScheme, integrate_panels
@@ -121,10 +123,46 @@ def conformal_psi(eq, z):
     return (1.5 * phi_right(eq, z)) ** (2.0 / 3.0)
 
 
+def _graded_breaks(lo, hi, sing, n_geo=45):
+    """Panel breakpoints on [lo, hi], geometrically refined toward sing."""
+    pts = [lo, hi]
+    for side, end in ((-1.0, lo), (1.0, hi)):
+        span = abs(end - sing)
+        if span <= 0:
+            continue
+        d = span
+        for _ in range(n_geo):
+            d *= 0.5
+            pts.append(sing + side * d)
+    # a few uniform points away from the singularity
+    pts.extend(np.linspace(lo, hi, 9).tolist())
+    pts = np.unique(np.clip(np.asarray(pts), lo, hi))
+    return pts[np.concatenate(([True], np.diff(pts) > 1e-300))]
+
+
+def _log_potential(eq, x0):
+    """U(x0) = -int log|x0 - y| rho(y) dy via the theta substitution."""
+    a, h = eq.a, eq.h
+
+    def integrand(theta):
+        y = -a * np.sin(0.5 * theta) ** 2
+        return np.sin(theta) ** 2 * h(y) * np.log(np.abs(x0 - y))
+
+    if -a < x0 < 0:
+        c = 1.0 - 2.0 * abs(x0) / a
+        sing = float(np.arccos(np.clip(c, -1.0, 1.0)))
+        breaks = _graded_breaks(0.0, np.pi, sing)
+    else:
+        breaks = np.linspace(0.0, np.pi, 33)
+    scheme = PanelScheme(breaks)
+    vals = integrand(scheme.nodes)
+    vals[~np.isfinite(vals)] = 0.0  # node exactly at the log singularity
+    integral = float(np.sum(vals * scheme.weights))
+    return -(a * a / (8.0 * np.pi)) * integral
+
+
 def el_residual(eq, x):
     """Euler-Lagrange residual -U(x) - V(x)/2 - ell (zero on the support)."""
-    if eq.ell is None:
-        raise DomainError("equilibrium data has no Lagrange constant yet")
     return -_log_potential(eq, float(x)) - 0.5 * float(eq.V(x)) - eq.ell
 
 

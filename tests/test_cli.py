@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from airylab import cli, fredholm
+from airylab import cli, equilibrium, fredholm
 from airylab.cli import (ConfigError, LabConfig, ResultRecord, emit, main,
                          parse_config, run_theorem1)
 from airylab.errors import BreakdownError
@@ -323,6 +323,16 @@ class TestMain:
         assert "configuration error" in err and "'n_list'" in err
         assert not (tmp_path / f"{study}.csv").exists()
 
+    @pytest.mark.parametrize("study", ["theorem1", "fredholm", "theorem3"])
+    def test_repeated_s_exit_two(self, tmp_path, capsys, study):
+        # a repeated s would write its rows twice, and theorem3 an s-difference
+        # over zero width
+        cfg = write_config(tmp_path, {"s_list": [0.0, 0.0]})
+        assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'s_list'" in err
+        assert not (tmp_path / f"{study}.csv").exists()
+
     def test_theorem1_one_n_exit_zero_without_summary(self, tmp_path):
         # a convergence summary needs two n, as in theorem2
         cfg = write_config(tmp_path, {"n_list": [16]})
@@ -359,6 +369,20 @@ class TestMain:
         assert main(["fredholm", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert "numeric failure" in err and "s=0.0, T=1.0, m=80" in err
+
+    def test_equilibrium_guard_exit_four(self, tmp_path, monkeypatch, capsys):
+        # a support shifted by 1e-6 trips the Euler-Lagrange guard
+        real = equilibrium.solve_support
+        monkeypatch.setattr(equilibrium, "solve_support",
+                            lambda V: tuple(b + 1e-6 for b in real(V)))
+        cli._equilibrium.cache_clear()
+        try:
+            assert main(["eqmeasure", "--out", str(tmp_path)]) == 4
+        finally:
+            cli._equilibrium.cache_clear()
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "equilibrium stage" in err
+        assert "[2.0, 4.0, 2.0]" in err and "Euler-Lagrange" in err
 
     def test_deterministic_output_bytes(self, tmp_path):
         for sub in ("one", "two"):

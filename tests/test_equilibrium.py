@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from airylab.equilibrium import (Potential, _series_division, build_equilibrium, compute_h,
-                                 lagrange_constant, q0_limit, solve_support, szego_q0)
-from airylab.errors import DomainError
+from airylab import equilibrium
+from airylab.equilibrium import (Potential, build_equilibrium, compute_h, q0_limit,
+                                 solve_support, szego_q0)
+from airylab.errors import DomainError, InconsistencyError
 from airylab.numerics import RealPolynomial
 
 from oracles import conformal_psi, el_residual, phi_right
@@ -63,16 +64,21 @@ class TestEquilibriumData:
         assert eq_sgue.density(-1.0) == pytest.approx(2.0 / np.pi, rel=1e-12)
 
     def test_sgue_lagrange_constant(self, eq_sgue):
-        # ell = -1/2 - log 2 for V = 2(x+1)^2
-        assert eq_sgue.ell == pytest.approx(-0.5 - np.log(2.0), abs=1e-9)
+        # ell = -1/2 - log 2 for V = 2(x+1)^2, to 4 ulp
+        ell = -0.5 - np.log(2.0)
+        assert abs(eq_sgue.ell - ell) <= 4 * np.spacing(abs(ell))
 
     def test_standard_gaussian_lagrange_constant(self):
         eq = build_equilibrium(Potential([0.0, 0.0, 0.5]))
-        assert eq.ell == pytest.approx(-0.5, abs=1e-9)
+        assert abs(eq.ell + 0.5) <= 4 * np.spacing(0.5)
 
-    def test_lagrange_routes_agree(self, eq_quartic):
-        r1, r2 = lagrange_constant(eq_quartic)
-        assert abs(r1 - r2) < 1e-9
+    @pytest.mark.parametrize("coeffs", [[2.0, 4.0, 2.0], [0.0, 0.0, 0.5, 0.0, 0.05],
+                                        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.05]])
+    def test_lagrange_constant_against_quadrature(self, coeffs):
+        # the closed form against the graded quadrature of the log potential
+        eq = build_equilibrium(Potential(coeffs))
+        for x in (-0.75 * eq.a, -0.5 * eq.a, -0.25 * eq.a):
+            assert abs(el_residual(eq, x)) < 1e-12
 
     def test_density_domain_guard(self, eq_sgue):
         with pytest.raises(DomainError):
@@ -88,6 +94,35 @@ class TestEquilibriumData:
         assert np.all(eq_quartic.h(xs) > 0)
 
 
+class TestGuards:
+    """Each guard of build_equilibrium trips on a support off by 1e-6."""
+
+    QUARTIC = [0.0, 0.0, 0.5, 0.0, 0.05]
+
+    @staticmethod
+    def _off_support(monkeypatch, d_minus, d_plus):
+        real = equilibrium.solve_support
+        monkeypatch.setattr(equilibrium, "solve_support",
+                            lambda V: tuple(b + d for b, d in zip(real(V), (d_minus, d_plus))))
+
+    def test_width_trips_the_mass_guard(self, monkeypatch):
+        self._off_support(monkeypatch, 0.0, 1e-6)
+        with pytest.raises(InconsistencyError) as exc:
+            build_equilibrium(Potential(self.QUARTIC))
+        msg = str(exc.value)
+        for part in ("equilibrium stage", str(self.QUARTIC), "mass", "bound 1e-10"):
+            assert part in msg, msg
+
+    def test_shift_trips_the_euler_lagrange_guard(self, monkeypatch):
+        self._off_support(monkeypatch, 1e-6, 1e-6)
+        with pytest.raises(InconsistencyError) as exc:
+            build_equilibrium(Potential(self.QUARTIC))
+        msg = str(exc.value)
+        for part in ("equilibrium stage", str(self.QUARTIC), "Euler-Lagrange", "spreads by",
+                     "bound 1.6e-10"):
+            assert part in msg, msg
+
+
 class TestComputeH:
     def test_series_division_identity(self, eq_quartic):
         # V'(z) / sqrt(z(z+a)) - h(z) -> 0 as z -> infinity
@@ -95,19 +130,6 @@ class TestComputeH:
         for z in (50.0, 100.0):
             lhs = eq_quartic.V.dpoly(z) / np.sqrt(z * (z + a))
             assert lhs == pytest.approx(eq_quartic.h(z), rel=1e-3)
-
-    def test_series_division_long_double_tail(self, eq_quartic):
-        # h plus the decaying tail, all in long double, is the whole expansion
-        # of V'(z) / sqrt(z(z+a)) for z > a; the truncation (a/z)^61 is ~1e-72 at z = 50
-        c = eq_quartic.V.dpoly.coeffs
-        a = np.longdouble(eq_quartic.a)
-        powers = range(c.size - 2, -61, -1)
-        coef = _series_division(c, a, powers)
-        assert coef.dtype == np.longdouble
-        for z in (np.longdouble(50.0), np.longdouble(100.0)):
-            series = sum(k * z ** p for p, k in zip(powers, coef))
-            exact = sum(cj * z ** j for j, cj in enumerate(c)) / np.sqrt(z * (z + a))
-            assert abs(series / exact - 1) < 1e-17
 
     def test_rejects_bad_width(self):
         with pytest.raises(DomainError):
