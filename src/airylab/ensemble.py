@@ -17,8 +17,11 @@ lost nodes.
 The Stieltjes procedure sweeps the nodes in place, on four preallocated
 buffers.  One generator of the three-term recurrence yields the weighted
 orthonormal values row by row: weighted_values stacks them into a matrix,
-kernel_trace sums their squares as they come and holds no n x N matrix, and
-the edge kernel runs the same recurrence on its two points as plain floats.
+kernel_trace and the deformation matrix's node selection sum their squares as
+they come and hold no n x N matrix, and the edge kernel runs the same
+recurrence on its two points as plain floats.  The deformation matrix itself
+is accumulated over node blocks of about BLOCK_ENTRIES values, so its peak
+memory is O(n * block + n^2) however many nodes the grid has.
 
 Two independent routes to the multiplicative linear statistic
 L_n = E prod sigma_n(lambda_j) are provided: a ratio of norming constants
@@ -235,15 +238,18 @@ def weighted_values(table, n, x, log_w_half):
     return U
 
 
-def kernel_trace(grid, table, n, log_weight):
-    """int K_n(x,x) w(x) dx over the grid; equals n for a consistent table.
-
-    K_n(x_i, x_i) w(x_i) = sum_k U_ki^2 is summed row by row as the recurrence
-    yields U, so no n x N matrix is formed.
-    """
-    diag = np.zeros(grid.nodes.size)
-    for u in _rows(table, n, grid.nodes, 0.5 * np.asarray(log_weight)):
+def _kernel_diagonal(table, n, x, log_w_half):
+    """sum_k U_ki^2 = K_n(x_i, x_i) e^{2 log_w_half_i}, summed row by row as the
+    recurrence yields U, so no n x N matrix is formed."""
+    diag = np.zeros(x.size)
+    for u in _rows(table, n, x, log_w_half):
         diag += u * u
+    return diag
+
+
+def kernel_trace(grid, table, n, log_weight):
+    """int K_n(x,x) w(x) dx over the grid; equals n for a consistent table."""
+    diag = _kernel_diagonal(table, n, grid.nodes, 0.5 * np.asarray(log_weight))
     return float(np.sum(grid.weights * diag))
 
 
@@ -257,6 +263,15 @@ def log_lstat_gamma(table_def, table_und, n):
 # The deformation matrix drops grid nodes whose summed contribution to its
 # trace stays below this: a thousandth of the rounding unit of an O(1) entry.
 DROP_TOL = 2.0 ** -52 * 1e-3
+
+# The deformation matrix is accumulated over blocks of kept nodes whose slab of
+# weighted values holds about this many doubles (8 MB): 2048 nodes at n = 512;
+# at n <= 64 all kept nodes fit in one block.
+BLOCK_ENTRIES = 2 ** 20
+
+# log_lstat_det refuses an M whose log-det it resolves only to a relative
+# accuracy worse than this, 2^-52 / (1 - lambda_max(M)) (the lower tail).
+DET_RTOL = 1e-8
 
 
 def _smallest_within(c, budget):
@@ -278,9 +293,14 @@ def deformation_matrix(grid, table_und, n, log_sigma_nodes):
     most c_i are negligible.  The smallest c_i are dropped while their running
     sum stays <= DROP_TOL; orthonormality on the grid gives w_i U_ki^2 <= 1,
     so c_i <= n (1 - sigma_i), and half of DROP_TOL goes first to nodes this
-    bound alone rules out, before U is formed on them.  M = V V^T with
-    V = U[:, kept] sqrt(w (1 - sigma))[kept] is one symmetric rank-k product
-    (BLAS SYRK: half the flops of a general product, exactly symmetric).
+    bound alone rules out, before the recurrence runs on them.
+
+    Two sweeps of the recurrence over the remaining nodes hold no n x N
+    matrix.  The first sums sum_k U_ki^2 row by row and fixes the kept nodes.
+    The second forms V = U sqrt(w (1 - sigma)) on the kept nodes, one block of
+    BLOCK_ENTRIES // n nodes at a time, and accumulates M += V V^T (BLAS SYRK:
+    half the flops of a general product, exactly symmetric).  The peak is one
+    n x block slab plus M and one product, O(n * block + n^2).
 
     Returns M and `dropped`, an upper bound on the trace of the positive
     semidefinite part D left out, so that M + D is the full-grid matrix.
@@ -289,11 +309,19 @@ def deformation_matrix(grid, table_und, n, log_sigma_nodes):
     ruled_out, dropped = _smallest_within(n * one_minus_sigma, 0.5 * DROP_TOL)
     live = np.flatnonzero(~ruled_out)
     wd = grid.weights[live] * one_minus_sigma[live]
-    U = weighted_values(table_und, n, grid.nodes[live], 0.5 * grid.log_w_und[live])
-    small, dropped_c = _smallest_within(wd * np.einsum("ki,ki->i", U, U), DROP_TOL - dropped)
-    V = U[:, ~small]
-    V *= np.sqrt(wd[~small])
-    return V @ V.T, dropped + dropped_c
+    x, lwh = grid.nodes[live], 0.5 * grid.log_w_und[live]
+    small, dropped_c = _smallest_within(wd * _kernel_diagonal(table_und, n, x, lwh),
+                                        DROP_TOL - dropped)
+    kept = np.flatnonzero(~small)
+    block = max(1, BLOCK_ENTRIES // n)
+    M = np.zeros((n, n))
+    for j in range(0, kept.size, block):
+        k = kept[j:j + block]
+        V = weighted_values(table_und, n, x[k], lwh[k])
+        V *= np.sqrt(wd[k])
+        M += V @ V.T
+        del V  # so that the next block's slab does not coexist with this one
+    return M, dropped + dropped_c
 
 
 def log_lstat_det(grid, table_und, n, log_sigma_nodes):
@@ -308,6 +336,11 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes):
     tau / (1 - tau), about 2e-19 / (1 - lambda_max(M)).  A spectral guard
     (one eigvalsh) verifies M is inside [0, 1) to 1e-8 before the
     determinant is taken; lambda_max(M) is also what the bound above needs.
+
+    Rounding M to float64 moves log(1 - lambda_max) by about
+    2^-52 / (1 - lambda_max), relative to log L_n; where 1 - lambda_max is so
+    small (deep in the lower tail, s <= -20 or so) that this exceeds DET_RTOL,
+    BreakdownError is raised rather than a value that has lost its digits.
     """
     M, dropped = deformation_matrix(grid, table_und, n, log_sigma_nodes)
     ev = np.linalg.eigvalsh(M)
@@ -315,6 +348,12 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes):
              f"after dropping trace {dropped:.3g}")
     if ev[0] < -1e-8 or ev[-1] > 1.0 + 1e-8:
         raise BreakdownError(f"{where}, outside [0, 1)")
+    gap = 1.0 - float(ev[-1])
+    loss = 2.0 ** -52 / gap if gap > 0.0 else 0.0  # gap <= 0: lu_logdet refuses the sign
+    if loss > DET_RTOL:
+        raise BreakdownError(
+            f"{where}: 1 - lambda_max = {gap:.3g}, so log det(I - M) keeps only about "
+            f"{loss:.3g} relative accuracy, above {DET_RTOL:g}")
     return lu_logdet(np.eye(n) - M, where)
 
 

@@ -5,7 +5,10 @@ procedure, weighted orthonormal values, kernel trace, edge kernel) as straight
 array code.  The in-place and streamed forms in airylab.ensemble do the same
 arithmetic in the same order, so the tests require bitwise equality with
 these.  cd_kernel and log_partition are built on them and on the recurrence
-data alone.
+data alone.  deformation_matrix forms U on every node the drop rule leaves
+live, as one n x N slab, and M from its kept columns as one product: the
+blocked assembly in airylab.ensemble must keep the same nodes, drop the same
+trace and agree to rounding.
 
 Equilibrium edge data: the exterior phase phi_right, the conformal map
 conformal_psi and the Euler-Lagrange residual el_residual, which the tests
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 
-from airylab.ensemble import RecurrenceTable
+from airylab.ensemble import DROP_TOL, RecurrenceTable, _smallest_within
 from airylab.errors import DomainError
 from airylab.fredholm import _zeta_scheme
 from airylab.numerics import PanelScheme, integrate_panels
@@ -76,6 +79,25 @@ def kernel_trace(grid, table, n, log_weight):
     """int K_n(x,x) w(x) dx from the full n x N matrix of weighted values."""
     U = weighted_values(table, n, grid.nodes, 0.5 * np.asarray(log_weight))
     return float(np.sum(grid.weights * np.einsum("ki,ki->i", U, U)))
+
+
+def deformation_matrix(grid, table_und, n, log_sigma_nodes):
+    """M, dropped and the kept node indices, from one n x N slab of U.
+
+    The drop rule of airylab.ensemble.deformation_matrix: the nodes that
+    n (1 - sigma_i) rules out within half of DROP_TOL, then the smallest
+    c_i = w_i (1 - sigma_i) sum_k U_ki^2 within the rest.  U is formed on every
+    remaining node at once, and M = V V^T from the kept columns.
+    """
+    one_minus_sigma = -np.expm1(np.asarray(log_sigma_nodes, dtype=float))
+    ruled_out, dropped = _smallest_within(n * one_minus_sigma, 0.5 * DROP_TOL)
+    live = np.flatnonzero(~ruled_out)
+    wd = grid.weights[live] * one_minus_sigma[live]
+    U = weighted_values(table_und, n, grid.nodes[live], 0.5 * grid.log_w_und[live])
+    small, dropped_c = _smallest_within(wd * np.einsum("ki,ki->i", U, U), DROP_TOL - dropped)
+    V = U[:, ~small]
+    V *= np.sqrt(wd[~small])
+    return V @ V.T, dropped + dropped_c, live[~small]
 
 
 def rescaled_edge_kernel(eq, table_def, n, u, v):

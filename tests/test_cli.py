@@ -135,6 +135,18 @@ class TestRunners:
         assert rows[768].verdict == "failed"
         assert "build_tables at n=768" in rows[768].aux["error"]
 
+    def test_theorem1_point_past_the_det_accuracy_fails(self, monkeypatch):
+        # the target refuses |s| > 12 by itself; a stand-in lets the points run
+        monkeypatch.setattr(cli, "_theorem1_target", lambda eq, Q, cfg, s: -1.0)
+        records = run_theorem1(LabConfig({"n_list": [16, 32], "s_list": [-30.0, 0.0]}))
+        rows = {r.params: r for r in records if r.study == "theorem1"}
+        for n in (16, 32):
+            assert rows[(n, -30.0)].verdict == "failed"
+            assert f"log_lstat_det at n={n}" in rows[(n, -30.0)].aux["error"]
+            assert "1 - lambda_max" in rows[(n, -30.0)].aux["error"]
+            assert rows[(n, 0.0)].verdict == "pass"
+            assert np.isfinite(rows[(n, 0.0)].aux["route_det"])
+
     def test_equilibrium_built_once_per_potential(self, monkeypatch):
         built = []
         real = cli.build_equilibrium

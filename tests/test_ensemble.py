@@ -180,39 +180,82 @@ class TestTrimmedDeformation:
             tau = dropped / (1.0 - np.linalg.eigvalsh(M)[-1])
             assert 0.0 <= tau / (1.0 - tau) <= 1e-15
 
-    def test_drops_most_nodes(self, eq_sgue, q_linear, monkeypatch):
-        n = 256
-        grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
+    @staticmethod
+    def _spy_weighted_values(monkeypatch):
+        """Record the nodes of every weighted_values call deformation_matrix makes."""
         calls = []
         real = ensemble.weighted_values
 
         def spy(table, n, x, log_w_half):
-            U = real(table, n, x, log_w_half)
-            calls.append(U.shape[1])
-            return U
+            calls.append(np.array(x))
+            return real(table, n, x, log_w_half)
 
         monkeypatch.setattr(ensemble, "weighted_values", spy)
+        return calls
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic"])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("block", [None, 37])
+    def test_blocked_matches_one_slab_oracle(self, tables, monkeypatch, potential, n, block):
+        # block=37 nodes gives ragged blocks by the dozen; None keeps the module's
+        # size (one block at n = 64, one or two at n = 256)
+        if block is not None:
+            monkeypatch.setattr(ensemble, "BLOCK_ENTRIES", block * n)
+        size = ensemble.BLOCK_ENTRIES // n
+        calls = self._spy_weighted_values(monkeypatch)
+        for s in (-3.0, 0.0, 3.0):
+            grid, t_und, _, lsig = tables(potential, n, s)
+            ref, ref_dropped, ref_kept = oracles.deformation_matrix(grid, t_und, n, lsig)
+            calls.clear()
+            M, dropped = deformation_matrix(grid, t_und, n, lsig)
+            assert np.linalg.norm(M - ref) <= 1e-15 * np.linalg.norm(ref)
+            assert np.array_equal(M, M.T)
+            assert dropped == ref_dropped
+            assert np.array_equal(np.concatenate(calls), grid.nodes[ref_kept])
+            assert len(calls) == -(-ref_kept.size // size)
+            assert all(c.size <= size for c in calls)
+
+    def test_no_node_survives(self, eq_sgue, q_linear):
+        # at s = 200, n (1 - sigma) rules out every node: M = 0 and log L = 0
+        n = 64
+        grid, t_und, t_def, lsig = build_tables(eq_sgue, q_linear, n, 200.0)
+        M, dropped = deformation_matrix(grid, t_und, n, lsig)
+        assert M.shape == (n, n) and not M.any()
+        assert 0.0 < dropped <= ensemble.DROP_TOL
+        assert log_lstat_det(grid, t_und, n, lsig) == 0.0
+        assert log_lstat_gamma(t_def, t_und, n) == 0.0
+
+    def test_drops_most_nodes(self, eq_sgue, q_linear, monkeypatch):
+        n = 256
+        grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
+        calls = self._spy_weighted_values(monkeypatch)
         _, dropped = deformation_matrix(grid, t_und, n, lsig)
-        assert calls and calls[0] < 0.75 * grid.nodes.size
+        formed = sum(c.size for c in calls)  # the columns of U formed, over all blocks
+        assert 0 < formed < 0.75 * grid.nodes.size
         assert 0.0 < dropped <= ensemble.DROP_TOL
 
     def test_peak_memory(self, eq_sgue, q_linear):
-        # log_lstat_det: one n x N slab of U, less after the trim, and no second
-        # slab for a product or a transpose; kernel_trace: a few node-length
-        # arrays, no slab at all
-        n = 256
-        grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
-        node_array = grid.nodes.size * 8
-        for fn, args, limit in ((log_lstat_det, (grid, t_und, n, lsig), 1.5 * n * node_array),
-                                (kernel_trace, (grid, t_und, n, grid.log_w_und), 16 * node_array)):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                fn(*args)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak <= limit, (fn.__name__, peak / node_array)
+        # log_lstat_det: one slab of BLOCK_ENTRIES weighted values and a few n x n
+        # arrays (M, the product V V^T, I - M and the copies of eigvalsh and
+        # slogdet), plus node-length arrays of the drop rule; no n x N slab.
+        # Measured 9.9 MB at n = 256 and 13.3 MB at n = 512, under limits of
+        # 12.2 and 20.1 MB; the one-slab assembly took 27.8 and 76.4 MB.
+        # kernel_trace: a few node-length arrays, no slab at all
+        for n in (256, 512):
+            grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
+            node_array = grid.nodes.size * 8
+            det_limit = 8 * (ensemble.BLOCK_ENTRIES + 4 * n * n) + 16 * node_array
+            for fn, args, limit in ((log_lstat_det, (grid, t_und, n, lsig), det_limit),
+                                    (kernel_trace, (grid, t_und, n, grid.log_w_und),
+                                     16 * node_array)):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    fn(*args)
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                assert peak <= limit, (fn.__name__, n, peak / 2 ** 20, limit / 2 ** 20)
 
 
 class TestStreamedRecurrences:
@@ -294,6 +337,26 @@ class TestDeterminantErrors:
     def test_determinant_not_positive(self, monkeypatch, tables):
         msg = self._message(monkeypatch, tables, np.diag([1.0 + 5e-9, 0.5]))
         assert "[0.5, 1]" in msg and "not positive" in msg
+
+
+class TestLowerTailGuard:
+    """log det(I - M) resolves log L_n only to about 2^-52 / (1 - lambda_max)
+    relative; past DET_RTOL log_lstat_det refuses."""
+
+    def test_deep_lower_tail_raises(self, eq_sgue, q_linear):
+        # s = -30, n = 16: 1 - lambda_max = 4.2e-13, so about 5e-4 relative
+        grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, 16, -30.0)
+        with pytest.raises(BreakdownError) as exc:
+            log_lstat_det(grid, t_und, 16, lsig)
+        msg = str(exc.value)
+        assert "log_lstat_det at n=16" in msg and "1 - lambda_max = 4.2" in msg
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_moderate_lower_tail_matches_gamma(self, eq_sgue, q_linear, n):
+        # s = -10: 1 - lambda_max = 2e-4, the routes agree to about 1e-11
+        grid, t_und, t_def, lsig = build_tables(eq_sgue, q_linear, n, -10.0)
+        lg = log_lstat_gamma(t_def, t_und, n)
+        assert log_lstat_det(grid, t_und, n, lsig) == pytest.approx(lg, rel=1e-9, abs=0.0)
 
 
 class TestEdgeQuantities:
