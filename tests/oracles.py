@@ -8,7 +8,9 @@ these.  cd_kernel and log_partition are built on them and on the recurrence
 data alone.  deformation_matrix forms U on every node the drop rule leaves
 live, as one n x N slab, and M from its kept columns as one product: the
 blocked assembly in airylab.ensemble must keep the same nodes, drop the same
-trace and agree to rounding.
+trace and agree to rounding.  core_regrid rebuilds a production grid with
+another number of equal core panels and the same tails, for the
+self-convergence test of the grid size.
 
 Equilibrium edge data: the exterior phase phi_right, the conformal map
 conformal_psi and the Euler-Lagrange residual el_residual, which the tests
@@ -23,13 +25,14 @@ entry with the Nystrom matrices of airylab.fredholm.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from airylab.ensemble import DROP_TOL, RecurrenceTable, _smallest_within
+from airylab.ensemble import DROP_TOL, EnsembleGrid, RecurrenceTable, _smallest_within
 from airylab.errors import DomainError
 from airylab.fredholm import _zeta_scheme
-from airylab.numerics import PanelScheme, integrate_panels
+from airylab.numerics import RULE16, PanelScheme, integrate_panels
 from airylab.special import _airy_cut, logistic
 
 
@@ -98,6 +101,30 @@ def deformation_matrix(grid, table_und, n, log_sigma_nodes):
     V = U[:, ~small]
     V *= np.sqrt(wd[~small])
     return V @ V.T, dropped + dropped_c, live[~small]
+
+
+def core_regrid(eq, n, grid, scale):
+    """The grid with int(scale * c) equal panels on its core in place of its c.
+
+    Each panel's ends follow from its nodes: the nodes of the rule are
+    symmetric, so the panel's midpoint is that of its outer nodes, and its half
+    length their distance over that of the rule's outer nodes.  The core
+    panels are those whose midpoint lies in [-a - 0.5, 0.5]; the tail nodes
+    and weights are kept as they are.  scale = 3 splits every core panel in
+    three.
+    """
+    m = RULE16.size
+    x = grid.nodes.reshape(-1, m)
+    mid = 0.5 * (x[:, 0] + x[:, -1])
+    half = (x[:, -1] - x[:, 0]) / (RULE16.nodes[-1] - RULE16.nodes[0])
+    core = np.flatnonzero((mid > -eq.a - 0.5) & (mid < 0.5))
+    lo, hi = core[0], core[-1]
+    panels = int(scale * core.size)
+    new = PanelScheme(np.linspace(mid[lo] - half[lo], mid[hi] + half[hi], panels + 1))
+    left, right = slice(None, lo * m), slice((hi + 1) * m, None)
+    return EnsembleGrid(eq, n, SimpleNamespace(
+        nodes=np.concatenate((grid.nodes[left], new.nodes, grid.nodes[right])),
+        weights=np.concatenate((grid.weights[left], new.weights, grid.weights[right]))))
 
 
 def rescaled_edge_kernel(eq, table_def, n, u, v):

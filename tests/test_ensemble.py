@@ -30,13 +30,19 @@ def eq_quartic():
 
 
 @pytest.fixture(scope="module")
+def eq_narrow():
+    # 32(1+x)^2: support of length a = 0.5, so 2n zeros on a short core
+    return build_equilibrium(Potential([32.0, 64.0, 32.0]))
+
+
+@pytest.fixture(scope="module")
 def q_linear():
     return DeformationQ([0.0, -1.0])
 
 
 @pytest.fixture(scope="module")
-def eqs(eq_sgue, eq_quartic):
-    return {"gaussian": eq_sgue, "quartic": eq_quartic}
+def eqs(eq_sgue, eq_quartic, eq_narrow):
+    return {"gaussian": eq_sgue, "quartic": eq_quartic, "narrow": eq_narrow}
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +320,59 @@ class TestRecurrenceRange:
             assert np.array_equal(table.log_h, ref.log_h)
 
 
+class TestGridConvergence:
+    """build_grid's core panel count, and half of it, against a grid with every
+    core panel split in three; a quarter of it must fail.
+
+    Bounds: log det(I - M) within 2e-11 (1 + |log L|) at s in {-3, 0, 3} (its
+    rounding floor grows with |log L|: on 2(1+x)^2 at n = 512, s = -3, it
+    wanders over 1.4e-10 on log L = -5.78 as the core goes from 266 to 2400
+    panels, with no trend); the undeformed log h_k within 5e-12 and alpha_k
+    within 1e-13; and the grid's undeformed table, traced on the fine grid,
+    int K_n(x, x) e^{-nV} dx = n within 1e-10 n.
+    """
+
+    CASES = [("gaussian", 64), ("gaussian", 512), ("quartic", 64), ("quartic", 512),
+             ("narrow", 64), ("narrow", 256)]
+
+    @pytest.fixture(scope="class")
+    def moves(self, eqs, q_linear):
+        """moves(potential, n, scale): each quantity's move over its bound."""
+        @functools.lru_cache(maxsize=None)
+        def quantities(potential, n, scale):
+            eq = eqs[potential]
+            grid = build_grid(eq, n)
+            if scale != 1:
+                grid = oracles.core_regrid(eq, n, grid, scale)
+            t_und = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und, n + 1)
+            dets = [log_lstat_det(grid, t_und, n, log_sigma(q_linear, n, s, grid.nodes))
+                    for s in (-3.0, 0.0, 3.0)]
+            return grid, t_und, np.array(dets)
+
+        def moves(potential, n, scale):
+            _, t_und, dets = quantities(potential, n, scale)
+            fine, t_fine, dets_fine = quantities(potential, n, 3)
+            trace = kernel_trace(fine, t_und, n, fine.log_w_und)
+            return {
+                "det": np.max(np.abs(dets - dets_fine) / (1.0 + np.abs(dets_fine))) / 2e-11,
+                "log_h": np.max(np.abs(t_und.log_h - t_fine.log_h)) / 5e-12,
+                "alpha": np.max(np.abs(t_und.alpha - t_fine.alpha)) / 1e-13,
+                "trace": abs(trace - n) / (1e-10 * n),
+            }
+        return moves
+
+    @pytest.mark.parametrize("potential,n", CASES)
+    @pytest.mark.parametrize("scale", [1, 0.5])
+    def test_converged(self, moves, potential, n, scale):
+        m = moves(potential, n, scale)
+        assert max(m.values()) <= 1.0, m
+
+    @pytest.mark.parametrize("potential,n", CASES)
+    def test_quarter_of_the_panels_fails(self, moves, potential, n):
+        m = moves(potential, n, 0.25)
+        assert max(m.values()) > 1.0, m
+
+
 class TestDeterminantErrors:
     """A breakdown names the stage, n, the spectrum of M and the dropped trace."""
 
@@ -344,12 +403,17 @@ class TestLowerTailGuard:
     relative; past DET_RTOL log_lstat_det refuses."""
 
     def test_deep_lower_tail_raises(self, eq_sgue, q_linear):
-        # s = -30, n = 16: 1 - lambda_max = 4.2e-13, so about 5e-4 relative
+        # s = -30, n = 16: log L = -373.4 by log_lstat_gamma, so the true
+        # 1 - lambda_max is below 1e-160; M in float64 holds only its rounding
+        # floor, which depends on the grid and lies far under 2^-52 / DET_RTOL
         grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, 16, -30.0)
+        M, _ = deformation_matrix(grid, t_und, 16, lsig)
+        gap = 1.0 - float(np.linalg.eigvalsh(M)[-1])
+        assert gap < 2.0 ** -52 / ensemble.DET_RTOL
         with pytest.raises(BreakdownError) as exc:
             log_lstat_det(grid, t_und, 16, lsig)
         msg = str(exc.value)
-        assert "log_lstat_det at n=16" in msg and "1 - lambda_max = 4.2" in msg
+        assert "log_lstat_det at n=16" in msg and f"1 - lambda_max = {gap:.3g}," in msg
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_moderate_lower_tail_matches_gamma(self, eq_sgue, q_linear, n):
