@@ -14,7 +14,6 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 configuration error,
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -100,8 +99,13 @@ class LabConfig:
         for key in ("fredholm_m", "idpii_n_steps"):
             if not _is_count(merged[key]):
                 raise ConfigError(f"'{key}' must be a positive integer")
-        if not merged["t_param"] > 0:
-            raise ConfigError("'t_param' must be positive")
+        for key in ("t_param", "fredholm_L", "idpii_h_xi"):
+            if not merged[key] > 0:
+                raise ConfigError(f"'{key}' must be positive")
+        if merged["fredholm_m"] < 2:
+            raise ConfigError("'fredholm_m' must be at least 2")
+        if not merged["idpii_s_min"] < merged["idpii_s_max"]:
+            raise ConfigError("'idpii_s_min' must be below 'idpii_s_max'")
         if not isinstance(merged["out_dir"], str):
             raise ConfigError("'out_dir' must be a string")
         for key, val in merged.items():
@@ -203,18 +207,9 @@ def _summary(study, s, pairs, bound):
                         "pass" if decreasing and slope <= bound else "fail")
 
 
-@functools.lru_cache(maxsize=None)
-def _equilibrium(*coeffs):
-    """The equilibrium of the potential with these coefficients, built once per process.
-
-    Every study point of the process shares the one object; none modifies it.
-    """
-    return build_equilibrium(Potential(coeffs))
-
-
 def _setup(cfg):
     """Equilibrium, deformation Q and effective t = -Q'(0) / c_V of a configuration."""
-    eq = _equilibrium(*cfg.potential)
+    eq = build_equilibrium(Potential(cfg.potential))
     Q = DeformationQ(cfg.deformation)
     return eq, Q, Q.t / eq.c_v
 
@@ -225,8 +220,12 @@ def _solve_idpii(cfg, T, S_read):
     if outside:
         raise ConfigError(f"id-PII at T = {float(T)} is read at S = {outside}, outside "
                           f"[idpii_s_min, idpii_s_max] = [{cfg.idpii_s_min}, {cfg.idpii_s_max}]")
-    return solve_idpii(T, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
-                       h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
+    try:
+        return solve_idpii(T, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
+                           h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
+    except DomainError as exc:
+        raise ConfigError(f"id-PII at T = {float(T)} with idpii_h_xi = {cfg.idpii_h_xi} "
+                          f"and idpii_n_steps = {cfg.idpii_n_steps}: {exc}") from exc
 
 
 def _theorem1_point(eq, Q, n, s):
@@ -412,7 +411,7 @@ def _run_idpii_solve(cfg):
 
 
 def _run_eqmeasure(cfg):
-    eq = _equilibrium(*cfg.potential)
+    eq = build_equilibrium(Potential(cfg.potential))
     recs = [ResultRecord("eqmeasure-data", (), eq.a,
                          {"c_v": eq.c_v, "ell": eq.ell, "shift": eq.shift}, "pass")]
     for x in np.linspace(-eq.a, 0.0, 21):

@@ -46,9 +46,6 @@ class Potential:
     def __call__(self, x):
         return self.poly(x)
 
-    def d(self, x):
-        return self.dpoly(x)
-
 
 def _theta_nodes():
     # 64-point Gauss-Legendre on [0, pi]; exact for the trigonometric-moment

@@ -30,16 +30,18 @@ from .special import _AI_ZERO, _airy_cut, fermi_weight
 class IdPiiSolution:
     """Stored layers of the downward integration.
 
-    S_grid is descending; Phi and dPhi have one row per stored layer; I_of_S
-    and P_of_S are the integral term and anti-derivative on the same grid.
+    S_grid is descending; layers[j] is the march state (Phi, dPhi/dS) at
+    S_grid[j], and Phi and dPhi are views of its two rows; I_of_S and P_of_S
+    are the integral term and anti-derivative on the same grid.
     """
 
-    def __init__(self, T, xi_grid, S_grid, Phi, dPhi, I_of_S, P_of_S, truncation_flags):
+    def __init__(self, T, xi_grid, S_grid, layers, I_of_S, P_of_S, truncation_flags):
         self.T = T
         self.xi_grid = xi_grid
         self.S_grid = S_grid
-        self.Phi = Phi
-        self.dPhi = dPhi
+        self.layers = layers
+        self.Phi = layers[:, 0]
+        self.dPhi = layers[:, 1]
         self.I_of_S = I_of_S
         self.P_of_S = P_of_S
         self.truncation_flags = truncation_flags
@@ -97,8 +99,7 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
 
     n_layers = n_steps // store_stride + 1
     S_grid = np.empty(n_layers)
-    Phi = np.empty((n_layers, n_xi))
-    dPhi = np.empty((n_layers, n_xi))
+    layers = np.empty((n_layers, 2, n_xi))
     I_of_S = np.empty(n_layers)
     P_of_S = np.empty(n_layers)
     flags = np.zeros(n_layers, dtype=bool)
@@ -109,7 +110,7 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
             return
         layer = step // store_stride
         S_grid[layer] = S
-        Phi[layer], dPhi[layer] = state
+        layers[layer] = state
         I_of_S[layer] = I
         P_of_S[layer] = P
         integrand = phi2 * w_xi
@@ -121,62 +122,60 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                 observer=store)
     except BlowUpError as exc:
         raise BlowUpError(f"id-PII {exc}", step=exc.step) from exc
-    return IdPiiSolution(T, xi, S_grid, Phi, dPhi, I_of_S, P_of_S, flags)
+    return IdPiiSolution(T, xi, S_grid, layers, I_of_S, P_of_S, flags)
 
 
-def _layer_weights(sol, S):
-    """Bracketing stored layers and linear blend weight for abscissa S."""
+def _read(sol, rows, S, xi=None, deriv_xi=False):
+    """Stored rows (one per layer) read at abscissa S.
+
+    With points xi, each of the two layers that bracket S is first read at xi
+    by the cubic 4-point Lagrange stencil (or its xi-derivative); the two are
+    then blended linearly in S.
+    """
     Sg = sol.S_grid  # descending
     if S > Sg[0] + 1e-12 or S < Sg[-1] - 1e-12:
         raise DomainError("S outside the stored range")
     j = int(np.searchsorted(-Sg, -S, side="right")) - 1
     j = min(max(j, 0), Sg.size - 2)
-    t = (Sg[j] - S) / (Sg[j] - Sg[j + 1])
-    return j, min(max(t, 0.0), 1.0)
+    w = min(max((Sg[j] - S) / (Sg[j] - Sg[j + 1]), 0.0), 1.0)
+    pair = rows[j:j + 2]
+    if xi is not None:
+        xg = sol.xi_grid
+        h = sol.h_xi
+        if np.any(xi < xg[0]) or np.any(xi > xg[-1]):
+            raise DomainError("xi outside the grid")
+        idx = np.clip(((xi - xg[0]) / h).astype(int), 1, xg.size - 3)
+        t = (xi - xg[idx]) / h  # in [-1, 2] nominally, usually [0, 1]
+        # Lagrange basis on stencil offsets (-1, 0, 1, 2)
+        if deriv_xi:
+            l0 = -(3 * t * t - 6 * t + 2.0) / 6.0
+            l1 = (3 * t * t - 4 * t - 1.0) / 2.0
+            l2 = -(3 * t * t - 2 * t - 2.0) / 2.0
+            l3 = (3 * t * t - 1.0) / 6.0
+            l0, l1, l2, l3 = (l / h for l in (l0, l1, l2, l3))
+        else:
+            l0 = -t * (t - 1.0) * (t - 2.0) / 6.0
+            l1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+            l2 = -(t + 1.0) * t * (t - 2.0) / 2.0
+            l3 = (t + 1.0) * t * (t - 1.0) / 6.0
+        pair = (pair[..., idx - 1] * l0 + pair[..., idx] * l1
+                + pair[..., idx + 1] * l2 + pair[..., idx + 2] * l3)
+    return (1.0 - w) * pair[0] + w * pair[1]
 
 
-def _cubic_rows(sol, rows, xi, deriv=False):
-    """Cubic 4-point Lagrange interpolation of stored rows at points xi."""
-    xg = sol.xi_grid
-    h = sol.h_xi
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi < xg[0]) or np.any(xi > xg[-1]):
-        raise DomainError("xi outside the grid")
-    idx = np.clip(((xi - xg[0]) / h).astype(int), 1, xg.size - 3)
-    t = (xi - xg[idx]) / h  # in [-1, 2] nominally, usually [0, 1]
-    # Lagrange basis on stencil offsets (-1, 0, 1, 2)
-    l0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    l1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    l2 = -(t + 1.0) * t * (t - 2.0) / 2.0
-    l3 = (t + 1.0) * t * (t - 1.0) / 6.0
-    if deriv:
-        l0 = -(3 * t * t - 6 * t + 2.0) / 6.0
-        l1 = (3 * t * t - 4 * t - 1.0) / 2.0
-        l2 = -(3 * t * t - 2 * t - 2.0) / 2.0
-        l3 = (3 * t * t - 1.0) / 6.0
-        l0, l1, l2, l3 = (l / h for l in (l0, l1, l2, l3))
-    vals = (rows[:, idx - 1] * l0 + rows[:, idx] * l1
-            + rows[:, idx + 1] * l2 + rows[:, idx + 2] * l3)
-    return vals
-
-
-def interp_phi(sol, xi, S, which="phi", deriv_xi=False):
-    """Interpolated Phi (or dPhi/dS) at (xi, S): cubic in xi, linear blend in S."""
-    rows = sol.Phi if which == "phi" else sol.dPhi
-    j, t = _layer_weights(sol, S)
-    vals = _cubic_rows(sol, rows[j:j + 2], xi, deriv=deriv_xi)
-    out = (1.0 - t) * vals[0] + t * vals[1]
-    return out if np.ndim(xi) else float(out[0])
+def interp_phi(sol, xi, S, deriv_xi=False):
+    """(Phi, dPhi/dS) at (xi, S), cubic in xi and linear in S, on a leading
+    axis of 2: shape (2,) for a scalar xi, (2, len(xi)) for an array."""
+    out = _read(sol, sol.layers, S, np.atleast_1d(np.asarray(xi, dtype=float)), deriv_xi)
+    return out if np.ndim(xi) else out[:, 0]
 
 
 def interp_I(sol, S):
-    j, t = _layer_weights(sol, S)
-    return float((1.0 - t) * sol.I_of_S[j] + t * sol.I_of_S[j + 1])
+    return float(_read(sol, sol.I_of_S, S))
 
 
 def interp_P(sol, S):
-    j, t = _layer_weights(sol, S)
-    return float((1.0 - t) * sol.P_of_S[j] + t * sol.P_of_S[j + 1])
+    return float(_read(sol, sol.P_of_S, S))
 
 
 def k_infinity(sol, u, v, s, t_param):
@@ -191,11 +190,9 @@ def k_infinity(sol, u, v, s, t_param):
         raise DomainError("solution was built for a different T")
     S = s * T
     xs = np.array([-s + t_param * u, -s + t_param * v])
-    p1 = interp_phi(sol, xs, S, "phi")
-    p2 = interp_phi(sol, xs, S, "dphi")
+    p1, p2 = interp_phi(sol, xs, S)
     if abs(u - v) < 1e-6:
-        d1 = t_param * interp_phi(sol, xs, S, "phi", deriv_xi=True)
-        d2 = t_param * interp_phi(sol, xs, S, "dphi", deriv_xi=True)
+        d1, d2 = t_param * interp_phi(sol, xs, S, deriv_xi=True)
         return float(d1[0] * p2[0] - p1[0] * d2[0])
     return float((p1[0] * p2[1] - p1[1] * p2[0]) / (u - v))
 
@@ -203,7 +200,7 @@ def k_infinity(sol, u, v, s, t_param):
 def tw_local_check(sol, S, fredholm_values, spacing=0.05):
     """Residual of the local Tracy-Widom-type identity at abscissa S.
 
-    fredholm_values are log L(-(S+j*spacing) T^{1/3}, T^{-2}) for
+    fredholm_values are log L(-(S+j*spacing) T^{-1/3}, T^{-2}) for
     j = -2..2; the 5-point second central difference is compared with
     -(1/T)(I(S) - S/2).
     """

@@ -19,6 +19,13 @@ el_residual integrates the log potential by graded panel quadrature in the
 angle, a route independent of the cosine expansion that gives ell in
 airylab.equilibrium.
 
+Id-PII reads: the stored solution read one quantity at a time, as
+layer_read (a cubic stencil in xi on each of the two bracketing layers, then
+the linear blend in S) on Phi, dPhi, I and P separately, and k_infinity built
+from two such reads (four on the diagonal).  airylab.idpii reads Phi and
+dPhi together from one store in the same order of operations, so the tests
+require bitwise equality with these.
+
 Airy kernels: the pointwise classical kernel airy_kernel and the
 finite-temperature kernel ft_airy_kernel, which the tests compare entry by
 entry with the Nystrom matrices of airylab.fredholm.
@@ -241,3 +248,51 @@ def ft_airy_kernel(u, v, T):
     z = scheme.nodes
     f = logistic(T ** (1.0 / 3.0) * z) * _airy_cut(u + z) * _airy_cut(z + v)
     return float(np.sum(f * scheme.weights))
+
+
+def layer_read(sol, rows, S, xi=None, deriv=False):
+    """One stored quantity (rows: one per layer) read at S, and at points xi.
+
+    The two layers that bracket S are each read at xi by the 4-point Lagrange
+    stencil on offsets (-1, 0, 1, 2), or its xi-derivative, and the two values
+    are then blended linearly in S.
+    """
+    Sg = sol.S_grid  # descending
+    if S > Sg[0] + 1e-12 or S < Sg[-1] - 1e-12:
+        raise DomainError("S outside the stored range")
+    j = min(max(int(np.searchsorted(-Sg, -S, side="right")) - 1, 0), Sg.size - 2)
+    w = min(max((Sg[j] - S) / (Sg[j] - Sg[j + 1]), 0.0), 1.0)
+    lo, hi = rows[j], rows[j + 1]
+    if xi is not None:
+        xg = sol.xi_grid
+        h = xg[1] - xg[0]
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        idx = np.clip(((xi - xg[0]) / h).astype(int), 1, xg.size - 3)
+        t = (xi - xg[idx]) / h
+        if deriv:
+            basis = (-(3 * t * t - 6 * t + 2.0) / 6.0, (3 * t * t - 4 * t - 1.0) / 2.0,
+                     -(3 * t * t - 2 * t - 2.0) / 2.0, (3 * t * t - 1.0) / 6.0)
+            basis = [b / h for b in basis]
+        else:
+            basis = (-t * (t - 1.0) * (t - 2.0) / 6.0, (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                     -(t + 1.0) * t * (t - 2.0) / 2.0, (t + 1.0) * t * (t - 1.0) / 6.0)
+
+        def stencil(row):
+            return (row[idx - 1] * basis[0] + row[idx] * basis[1]
+                    + row[idx + 1] * basis[2] + row[idx + 2] * basis[3])
+
+        lo, hi = stencil(lo), stencil(hi)
+    return (1.0 - w) * lo + w * hi
+
+
+def k_infinity(sol, u, v, s, t_param):
+    """K_inf(u, v | s, t) from separate reads of Phi and dPhi at S = s t^{-3/2}."""
+    S = s * t_param ** (-1.5)
+    xs = np.array([-s + t_param * u, -s + t_param * v])
+    p1 = layer_read(sol, sol.Phi, S, xs)
+    p2 = layer_read(sol, sol.dPhi, S, xs)
+    if abs(u - v) < 1e-6:
+        d1 = t_param * layer_read(sol, sol.Phi, S, xs, deriv=True)
+        d2 = t_param * layer_read(sol, sol.dPhi, S, xs, deriv=True)
+        return float(d1[0] * p2[0] - p1[0] * d2[0])
+    return float((p1[0] * p2[1] - p1[1] * p2[0]) / (u - v))

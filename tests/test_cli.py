@@ -147,25 +147,6 @@ class TestRunners:
             assert rows[(n, 0.0)].verdict == "pass"
             assert np.isfinite(rows[(n, 0.0)].aux["route_det"])
 
-    def test_equilibrium_built_once_per_potential(self, monkeypatch):
-        built = []
-        real = cli.build_equilibrium
-
-        def counting(V):
-            built.append(tuple(V.poly.coeffs))
-            return real(V)
-
-        monkeypatch.setattr(cli, "build_equilibrium", counting)
-        cli._equilibrium.cache_clear()
-        try:
-            run_theorem1(LabConfig({"n_list": [4, 8], "s_list": [0.0, 1.0],
-                                    "fredholm_m": 40}))
-            run_theorem1(LabConfig({"n_list": [4], "s_list": [0.0], "fredholm_m": 40,
-                                    "potential": [0.0, 0.0, 0.5, 0.0, 0.05]}))
-        finally:
-            cli._equilibrium.cache_clear()
-        assert built == [(2.0, 4.0, 2.0), (0.0, 0.0, 0.5, 0.0, 0.05)]
-
     def test_theorem2_limit_kernel_computed_once(self, monkeypatch):
         # K_inf does not depend on n: one 5 x 5 grid, not one per n
         calls = []
@@ -326,6 +307,21 @@ class TestMain:
         assert "configuration error" in err and f"'{key}'" in err
         assert not (tmp_path / f"{study}.csv").exists()
 
+    @pytest.mark.parametrize("study, data, key", [
+        ("idpii-solve", {"idpii_s_min": 5.0, "idpii_s_max": 1.0}, "idpii_s_min"),
+        ("idpii-solve", {"idpii_n_steps": 2801}, "idpii_n_steps"),  # not a multiple of 4
+        ("idpii-solve", {"idpii_h_xi": 0.0}, "idpii_h_xi"),
+        ("idpii-solve", {"idpii_h_xi": -0.04}, "idpii_h_xi"),
+        ("fredholm", {"fredholm_L": -10.0}, "fredholm_L"),
+        ("fredholm", {"fredholm_m": 1}, "fredholm_m"),
+    ])
+    def test_refused_solver_setting_exit_two(self, tmp_path, capsys, study, data, key):
+        cfg = write_config(tmp_path, data)
+        assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        assert not (tmp_path / f"{study}.csv").exists()
+
     @pytest.mark.parametrize("study", ["theorem1", "theorem2"])
     def test_repeated_n_exit_two(self, tmp_path, capsys, study):
         # a repeated n would write its rows twice and fit a slope over one n
@@ -387,11 +383,7 @@ class TestMain:
         real = equilibrium.solve_support
         monkeypatch.setattr(equilibrium, "solve_support",
                             lambda V: tuple(b + 1e-6 for b in real(V)))
-        cli._equilibrium.cache_clear()
-        try:
-            assert main(["eqmeasure", "--out", str(tmp_path)]) == 4
-        finally:
-            cli._equilibrium.cache_clear()
+        assert main(["eqmeasure", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert "numeric failure" in err and "equilibrium stage" in err
         assert "[2.0, 4.0, 2.0]" in err and "Euler-Lagrange" in err

@@ -9,6 +9,8 @@ from airylab.idpii import (interp_I, interp_P, interp_phi, k_infinity,
                            solve_idpii, tw_local_check)
 from airylab.special import _AI_ZERO, _airy_cut, airy_ai, airy_ai_prime, fermi_weight
 
+import oracles
+
 
 def _trapezoid(y, x):
     """Composite trapezoid rule (np.trapz is gone in numpy 2; np.trapezoid is not in 1.24)."""
@@ -123,8 +125,8 @@ class TestSolver:
     def test_step_doubling_stability(self):
         a = solve_idpii(1.0, n_steps=2800, store_stride=4)
         b = solve_idpii(1.0, n_steps=1400, store_stride=2)
-        va = interp_phi(a, 0.0, 0.0)
-        vb = interp_phi(b, 0.0, 0.0)
+        va = interp_phi(a, 0.0, 0.0)[0]
+        vb = interp_phi(b, 0.0, 0.0)[0]
         assert abs(va - vb) < 1e-6
 
     def test_truncation_guard_is_informative(self, sol):
@@ -152,7 +154,7 @@ class TestSolver:
         s = solve_idpii(T)
         xi = np.linspace(-2.0, 2.0, 9)
         airy = T ** (1.0 / 6.0) * airy_ai(T ** (2.0 / 3.0) * xi)
-        assert np.allclose(interp_phi(s, xi, 0.0), airy, rtol=0.1, atol=0.0)
+        assert np.allclose(interp_phi(s, xi, 0.0)[0], airy, rtol=0.1, atol=0.0)
         fine = solve_idpii(T, h_xi=0.02, n_steps=5600, store_stride=8)
         assert interp_I(s, 0.0) == pytest.approx(interp_I(fine, 0.0), rel=1e-3)
 
@@ -193,27 +195,47 @@ class TestSolver:
 class TestInterpolation:
     def test_reproduces_grid_values(self, sol):
         j, i = 40, 500
-        v = interp_phi(sol, sol.xi_grid[i], sol.S_grid[j])
+        v = interp_phi(sol, sol.xi_grid[i], sol.S_grid[j])[0]
         assert v == pytest.approx(sol.Phi[j, i], rel=1e-12)
 
     def test_cubic_accuracy_between_nodes(self, sol):
         # compare against Airy initial data at S_max between grid points:
         # ~h^4 accuracy in the oscillatory region, much better where smooth
         xi = sol.xi_grid[300] + 0.4 * sol.h_xi  # Airy argument -6
-        v = interp_phi(sol, xi, sol.S_grid[0])
+        v = interp_phi(sol, xi, sol.S_grid[0])[0]
         assert v == pytest.approx(airy_ai(xi + 12.0), abs=2e-6)
         xi = sol.xi_grid[800] + 0.4 * sol.h_xi  # Airy argument +14
-        v = interp_phi(sol, xi, sol.S_grid[0])
+        v = interp_phi(sol, xi, sol.S_grid[0])[0]
         assert v == pytest.approx(airy_ai(xi + 12.0), abs=1e-10)
 
     def test_xi_derivative_option(self, sol):
         xi = -2.0
-        d = interp_phi(sol, xi, sol.S_grid[0], deriv_xi=True)
+        d = interp_phi(sol, xi, sol.S_grid[0], deriv_xi=True)[0]
         assert d == pytest.approx(airy_ai_prime(xi + 12.0), abs=1e-6)
 
     def test_scalar_interfaces(self, sol):
         assert np.ndim(interp_I(sol, 3.0)) == 0
         assert np.ndim(interp_P(sol, 3.0)) == 0
+
+    @pytest.mark.parametrize("S", [1.013, 2.0 ** 1.5], ids=["1.013", "2^1.5"])
+    def test_reads_equal_the_oracle_read_bitwise(self, sol, S):
+        # neither S is a stored layer and no xi is a node: the S-blend and the
+        # xi-stencil both act, on Phi and dPhi read together from one store
+        assert not np.any(np.isclose(sol.S_grid, S, rtol=0.0, atol=1e-6))
+        xi = np.array([-2.013, 0.3, 1.57])
+        assert not np.any(np.isclose(sol.xi_grid[:, None], xi, rtol=0.0, atol=1e-6))
+        for deriv in (False, True):
+            both = interp_phi(sol, xi, S, deriv_xi=deriv)
+            assert both.shape == (2, 3)
+            for row, rows in zip(both, (sol.Phi, sol.dPhi)):
+                assert np.array_equal(row, oracles.layer_read(sol, rows, S, xi, deriv))
+            for k, x in enumerate(xi):
+                assert np.array_equal(interp_phi(sol, x, S, deriv_xi=deriv), both[:, k])
+        assert interp_I(sol, S) == float(oracles.layer_read(sol, sol.I_of_S, S))
+        assert interp_P(sol, S) == float(oracles.layer_read(sol, sol.P_of_S, S))
+        # T = 1: s = S; off the diagonal and confluent
+        for u, v in ((0.3, -0.5), (-0.5, 0.3), (0.2, 0.2)):
+            assert k_infinity(sol, u, v, S, 1.0) == oracles.k_infinity(sol, u, v, S, 1.0)
 
     def test_out_of_range_rejected(self, sol):
         with pytest.raises(DomainError):
@@ -244,13 +266,25 @@ class TestLimitingKernel:
 
 class TestTracyWidomChecks:
     def test_drift_free_identity(self, sol):
-        # d^2/dS^2 log L(-S T^{1/3}, T^{-2}) = -I(S)/T at T = 1
+        # d^2/dS^2 log L(-S T^{-1/3}, T^{-2}) = -I(S)/T at T = 1
         spacing = 0.05
         for S in (0.0, 2.0):
             f = [np.log(fredholm_det_ft(-(S + j * spacing), 1.0, 80))
                  for j in (-2, -1, 0, 1, 2)]
             d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * spacing ** 2)
             assert d2 == pytest.approx(-interp_I(sol, S), abs=5e-6)
+
+    def test_drift_free_identity_off_unit_temperature(self):
+        # the map (S, T) -> (-S T^{-1/3}, T^{-2}) at T = 1/2, where it differs
+        # from -S T^{1/3}: that map misses -I(S)/T by 5e-3 to 0.15 here
+        T = 0.5
+        sol_half = solve_idpii(T)
+        spacing = 0.05
+        for S in (0.0, 1.0, 2.0):
+            f = [np.log(fredholm_det_ft(-(S + j * spacing) * T ** (-1.0 / 3.0), T ** -2, 80))
+                 for j in (-2, -1, 0, 1, 2)]
+            d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * spacing ** 2)
+            assert d2 == pytest.approx(-interp_I(sol_half, S) / T, abs=1e-6)
 
     def test_local_check_residual_is_drift(self, sol):
         # with the drift term S/2 included the residual equals S/2: the two

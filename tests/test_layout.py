@@ -1,5 +1,8 @@
 """The package holds what its studies run: every public name has a caller in src/.
 
+Public names are the top-level functions and classes and the public methods
+and properties of the classes.
+
 A function that only the tests call is a test oracle and lives in
 tests/oracles.py; one that nothing calls is deleted.
 """
@@ -17,23 +20,38 @@ EXEMPT = {"fredholm.fredholm_det_airy"}
 
 def _uncalled():
     """module.name of each public top-level function or class that no Name or
-    Attribute in src/ refers to, outside the definition itself."""
+    Attribute in src/ refers to, and module.Class.name of each public method or
+    property that no Attribute in src/ refers to, outside the definition itself.
+
+    A method is reached only through an attribute, so a local variable of the
+    same name does not count as a use of it.
+    """
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    uses = {}
+    names, attrs = {}, {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append(node)
+                names.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append(node)
+                attrs.setdefault(node.attr, []).append(node)
+
+    def unused(defn, uses):
+        inside = {id(node) for node in ast.walk(defn)}
+        return all(id(node) in inside for node in uses)
+
     uncalled = []
     for module, tree in trees.items():
         for defn in tree.body:
-            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            inside = {id(node) for node in ast.walk(defn)}
-            if all(id(node) in inside for node in uses.get(defn.name, [])):
+            if not defn.name.startswith("_") and unused(
+                    defn, names.get(defn.name, []) + attrs.get(defn.name, [])):
                 uncalled.append(f"{module}.{defn.name}")
+            if isinstance(defn, ast.ClassDef):
+                uncalled += [f"{module}.{defn.name}.{meth.name}" for meth in defn.body
+                             if isinstance(meth, ast.FunctionDef)
+                             and not meth.name.startswith("_")
+                             and unused(meth, attrs.get(meth.name, []))]
     return uncalled
 
 
