@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 configuration error,
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -54,8 +55,11 @@ _DEFAULTS = {
 
 
 def _is_number(v):
-    """A finite int or float; a bool, though an int, is not a number here."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+    """An int or float that is a finite float; a bool, though an int, is not a number here."""
+    try:  # math.isfinite raises OverflowError on an int beyond the float range
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_count(v):
@@ -189,22 +193,32 @@ def _failed(study, params, exc):
     return ResultRecord(study, params, float("nan"), {"error": str(exc)}, "failed")
 
 
-def _isolated(fn, *args):
-    """fn(*args), or the exception it raised: one failing point does not end a study."""
+def _sweep(study, s, n_list, limit, point, bound):
+    """A convergence study over n at fixed s: limit() once, then point(limit, n)
+    -> (value, error, aux, ok) for each n.  A limit that raised fails every n,
+    a point that raised only its own.  Two or more errors give <study>-summary:
+    strictly decreasing in n, log-log slope <= bound."""
     try:
-        return fn(*args)
+        lim = limit()
     except Exception as exc:
-        return exc
-
-
-def _summary(study, s, pairs, bound):
-    """Convergence over n of two or more (n, error) pairs: strictly decreasing,
-    log-log slope <= bound."""
-    ns, errs = zip(*pairs)
-    decreasing = all(a > b for a, b in zip(errs, errs[1:]))
-    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
-    return ResultRecord(study, (s,), slope, {"decreasing": int(decreasing)},
-                        "pass" if decreasing and slope <= bound else "fail")
+        return [_failed(study, (n, s), exc) for n in n_list]
+    records, ns, errs = [], [], []
+    for n in n_list:
+        try:
+            value, err, aux, ok = point(lim, n)
+        except Exception as exc:
+            records.append(_failed(study, (n, s), exc))
+            continue
+        records.append(ResultRecord(study, (n, s), value, aux, "pass" if ok else "fail"))
+        ns.append(n)
+        errs.append(err)
+    if len(errs) >= 2:
+        decreasing = all(a > b for a, b in zip(errs, errs[1:]))
+        slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+        records.append(ResultRecord(f"{study}-summary", (s,), slope,
+                                    {"decreasing": int(decreasing)},
+                                    "pass" if decreasing and slope <= bound else "fail"))
+    return records
 
 
 def _setup(cfg):
@@ -228,12 +242,6 @@ def _solve_idpii(cfg, T, S_read):
                           f"and idpii_n_steps = {cfg.idpii_n_steps}: {exc}") from exc
 
 
-def _theorem1_point(eq, Q, n, s):
-    """Both finite-n routes to log L_n at (n, s)."""
-    grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
-    return log_lstat_gamma(t_def, t_und, n), log_lstat_det(grid, t_und, n, lsig)
-
-
 def _theorem1_target(eq, Q, cfg, s):
     """The n-independent limit log det(I - K_{t_eff^3}) on L^2(s / t_eff, infinity)."""
     return float(np.log(fredholm_det_ft(-s * eq.c_v / Q.t, Q.t ** 3 / eq.c_v ** 3,
@@ -243,25 +251,17 @@ def _theorem1_target(eq, Q, cfg, s):
 def run_theorem1(cfg):
     """Per (n, s): both finite-n routes against the limiting log-determinant."""
     eq, Q, _ = _setup(cfg)
-    records = []
-    for s in cfg.s_list:  # a target that raised fails every n of its s
-        tgt = _isolated(_theorem1_target, eq, Q, cfg, s)
-        errs = []
-        for n in cfg.n_list:
-            out = tgt if isinstance(tgt, Exception) else _isolated(_theorem1_point, eq, Q, n, s)
-            if isinstance(out, Exception):
-                records.append(_failed("theorem1", (n, s), out))
-                continue
-            lg, ld = out
-            err = abs(lg - tgt)
-            routes_ok = abs(lg - ld) <= 1e-6 * (1.0 + abs(lg))
-            records.append(ResultRecord("theorem1", (n, s), lg,
-                                        {"route_det": ld, "target": tgt, "error": err},
-                                        "pass" if routes_ok else "fail"))
-            errs.append((n, err))
-        if len(errs) >= 2:
-            records.append(_summary("theorem1-summary", s, errs, -0.3))
-    return records
+
+    def point(s, tgt, n):
+        grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
+        lg, ld = log_lstat_gamma(t_def, t_und, n), log_lstat_det(grid, t_und, n, lsig)
+        err = abs(lg - tgt)
+        routes_ok = abs(lg - ld) <= 1e-6 * (1.0 + abs(lg))
+        return lg, err, {"route_det": ld, "target": tgt, "error": err}, routes_ok
+
+    return [r for s in cfg.s_list
+            for r in _sweep("theorem1", s, cfg.n_list, lambda: _theorem1_target(eq, Q, cfg, s),
+                            functools.partial(point, s), -0.3)]
 
 
 def run_theorem2(cfg):
@@ -270,27 +270,17 @@ def run_theorem2(cfg):
     s = cfg.s_list[0]
     sol = _solve_idpii(cfg, t_eff ** -1.5, [s * t_eff ** -1.5])
     us = np.linspace(-2.0, 2.0, 5)
-    grid_uv = [(u, v) for u in us for v in us]
-    # the limit kernel does not depend on n; if it raises, every n fails with it
-    limit = _isolated(lambda: [k_infinity(sol, u, v, s, t_eff) for u, v in grid_uv])
+    # both kernels are symmetric to the bit, so the pairs u <= v give the sup
+    pairs = [(u, v) for i, u in enumerate(us) for v in us[i:]]
 
-    def sup_error(n):
+    def point(limit, n):
         grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
-        return max(abs(rescaled_edge_kernel(eq, t_def, n, u, v) - k)
-                   for (u, v), k in zip(grid_uv, limit))
+        sup = max(abs(rescaled_edge_kernel(eq, t_def, n, u, v) - k)
+                  for (u, v), k in zip(pairs, limit))
+        return sup, sup, {}, True
 
-    records = []
-    errs = []
-    for n in cfg.n_list:
-        sup = limit if isinstance(limit, Exception) else _isolated(sup_error, n)
-        if isinstance(sup, Exception):
-            records.append(_failed("theorem2", (n, s), sup))
-            continue
-        errs.append((n, sup))
-        records.append(ResultRecord("theorem2", (n, s), sup, {}, "pass"))
-    if len(errs) >= 2:
-        records.append(_summary("theorem2-summary", s, errs, -0.2))
-    return records
+    return _sweep("theorem2", s, cfg.n_list,
+                  lambda: [k_infinity(sol, u, v, s, t_eff) for u, v in pairs], point, -0.2)
 
 
 def run_theorem3(cfg):
@@ -304,18 +294,15 @@ def run_theorem3(cfg):
     sol = _solve_idpii(cfg, scale, [s * scale for s in cfg.s_list]) \
         if len(cfg.s_list) >= 2 else None
 
-    def rho(Q, n, s):
-        grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
-        return norming_ratio(eq, t_def, n)
-
     records = []
     c_by_q = {}
     for label, Q in (("Q1", Q1), ("Q2", Q2)):
         for s in cfg.s_list:
             for n in cfg.n_list:
-                r = _isolated(rho, Q, n, s)
-                if isinstance(r, Exception):
-                    records.append(_failed("theorem3", (label, n, s), r))
+                try:  # one failing point does not end the study
+                    r = norming_ratio(eq, build_tables(eq, Q, n, s)[2], n)
+                except Exception as exc:
+                    records.append(_failed("theorem3", (label, n, s), exc))
                     continue
                 c_n = n ** (1.0 / 3.0) * (0.5 - r)
                 c_by_q[(label, n, s)] = c_n
@@ -371,12 +358,9 @@ def run_crosschecks(cfg):
     # the convergence table and the stencil share (s, T = 1, m) at s = 0 and
     # -1 when fredholm_m is 80; the stencil's -0.0 is the key 0.0, and the
     # determinant there is the same to the bit
-    dets = {}
-
+    @functools.cache
     def det(s, T, m):
-        if (s, T, m) not in dets:
-            dets[s, T, m] = fredholm_det_ft(s, T, m, cfg.fredholm_L)
-        return dets[s, T, m]
+        return fredholm_det_ft(s, T, m, cfg.fredholm_L)
 
     conv = max(abs(det(s, T, 40) - det(s, T, 80))
                for s in (-1.0, 0.0, 1.0) for T in (0.125, 1.0, 8.0))

@@ -9,7 +9,9 @@ import pytest
 from airylab import cli, equilibrium, fredholm
 from airylab.cli import (ConfigError, LabConfig, ResultRecord, emit, main,
                          parse_config, run_theorem1)
+from airylab.ensemble import build_tables, rescaled_edge_kernel
 from airylab.errors import BreakdownError
+from airylab.idpii import k_infinity
 
 
 def write_config(tmp_path, data):
@@ -148,7 +150,8 @@ class TestRunners:
             assert np.isfinite(rows[(n, 0.0)].aux["route_det"])
 
     def test_theorem2_limit_kernel_computed_once(self, monkeypatch):
-        # K_inf does not depend on n: one 5 x 5 grid, not one per n
+        # K_inf does not depend on n: one 5 x 5 grid, not one per n, read on
+        # its 15 symmetric pairs u <= v
         calls = []
         real = cli.k_infinity
 
@@ -159,8 +162,36 @@ class TestRunners:
         monkeypatch.setattr(cli, "k_infinity", counting)
         records = cli.run_theorem2(LabConfig({"n_list": [4, 8, 16], "s_list": [0.0],
                                               "idpii_h_xi": 0.25, "idpii_n_steps": 400}))
-        assert len(calls) == 25
+        assert len(calls) == 15
         assert len([r for r in records if r.study == "theorem2"]) == 3
+
+    def test_theorem2_kernels_are_symmetric_to_the_bit(self):
+        # theorem2 reads only u <= v of its grid, so the sup rests on this
+        cfg = LabConfig({"idpii_h_xi": 0.25, "idpii_n_steps": 400})
+        eq, Q, t_eff = cli._setup(cfg)
+        s = cfg.s_list[0]
+        sol = cli._solve_idpii(cfg, t_eff ** -1.5, [s])
+        us = np.linspace(-2.0, 2.0, 5)
+        for u in us:
+            for v in us:
+                assert k_infinity(sol, u, v, s, t_eff) == k_infinity(sol, v, u, s, t_eff)
+        for n in (16, 64, 256):
+            t_def = build_tables(eq, Q, n, s)[2]
+            for u in us:
+                for v in us:
+                    assert (rescaled_edge_kernel(eq, t_def, n, u, v)
+                            == rescaled_edge_kernel(eq, t_def, n, v, u))
+
+    def test_theorem2_failed_limit_fails_every_n(self, monkeypatch):
+        def failing(*args):
+            raise BreakdownError("K_inf is not finite")
+
+        monkeypatch.setattr(cli, "k_infinity", failing)
+        records = cli.run_theorem2(LabConfig({"n_list": [4, 8], "s_list": [0.0],
+                                              "idpii_h_xi": 0.25, "idpii_n_steps": 400}))
+        assert {r.params for r in records} == {(4, 0.0), (8, 0.0)}
+        assert all(r.study == "theorem2" and r.verdict == "failed"
+                   and r.aux["error"] == "K_inf is not finite" for r in records)
 
     @pytest.mark.parametrize("s", [0.5, -1.3])
     def test_theorem3_one_s_solves_no_idpii(self, monkeypatch, s):
@@ -259,6 +290,16 @@ class TestMain:
         p.write_text(text)
         assert main(["fredholm", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["t_param", "s_list", "potential"])
+    def test_int_beyond_float_range_exit_two(self, tmp_path, key, capsys):
+        # a 400-digit int is finite as an int, but has no float
+        big = 10 ** 400
+        value = {"t_param": big, "s_list": [0.0, big], "potential": [2.0, 4.0, big]}[key]
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["fredholm", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}'" in err
 
     def test_missing_config_exit_two(self):
         assert main(["eqmeasure", "--config", "/no/such/file.json"]) == 2
