@@ -379,10 +379,14 @@ def run_crosschecks(cfg):
 
 
 def _run_fredholm(cfg):
-    T = cfg.t_param ** -1.5
-    return [ResultRecord("fredholm", (s, T),
-                         fredholm_det_ft(s, T, cfg.fredholm_m, cfg.fredholm_L), {}, "pass")
-            for s in cfg.s_list]
+    """L(s, t^3), the temperature of the idpii-solve solution at T = t^{-3/2}."""
+    T = cfg.t_param ** 3
+    try:
+        return [ResultRecord("fredholm", (s, T),
+                             fredholm_det_ft(s, T, cfg.fredholm_m, cfg.fredholm_L), {}, "pass")
+                for s in cfg.s_list]
+    except DomainError as exc:
+        raise ConfigError(f"fredholm at T = t_param^3 = {T}: {exc}") from exc
 
 
 def _run_idpii_solve(cfg):

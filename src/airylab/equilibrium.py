@@ -84,8 +84,7 @@ def solve_support(V):
         return np.array([[j11, j12], [j21, j22]])
 
     # start at the minimizer of V with a unit radius, fall back on rescales
-    crit = np.roots(dV.coeffs[::-1])
-    crit = crit[np.abs(crit.imag) < 1e-10].real
+    crit = dV.real_roots()
     m0 = float(crit[np.argmin(V(crit))]) if crit.size else 0.0
     for r0 in (1.0, 0.5, 2.0, 4.0, 0.25):
         m, r = m0, r0

@@ -49,6 +49,11 @@ class RealPolynomial:
         k = np.arange(1, self.coeffs.size)
         return RealPolynomial(self.coeffs[1:] * k)
 
+    def real_roots(self, level=0.0):
+        """The x with p(x) = level whose imaginary part is below 1e-10, in no set order."""
+        r = np.roots(np.r_[self.coeffs[:0:-1], self.coeffs[0] - level])
+        return r[np.abs(r.imag) < 1e-10].real
+
     def shift(self, c):
         """Return the polynomial q(x) = p(x + c) (Taylor shift by repeated Horner)."""
         work = np.array(self.coeffs, dtype=float)

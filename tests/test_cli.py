@@ -397,6 +397,25 @@ class TestMain:
         assert len(rows) == 2
         assert {row.rsplit(",", 1)[1] for row in rows} == {LabConfig(data).hash()}
 
+    def test_fredholm_at_the_idpii_temperature(self, tmp_path):
+        # the id-PII solution at T = t^{-3/2} belongs to L(., t^3), as does
+        # theorem1's target at t, so fredholm evaluates L(s, t^3)
+        data = {"s_list": [0.0, 1.0], "t_param": 2, "fredholm_m": 40}
+        assert main(["fredholm", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path), "--format", "json"]) == 0
+        recs = json.loads((tmp_path / "fredholm.json").read_text())
+        assert [[float(p) for p in r["params"]] for r in recs] == [[0.0, 8.0], [1.0, 8.0]]
+        for r, s in zip(recs, (0.0, 1.0)):
+            assert float(r["value"]) == fredholm.fredholm_det_ft(s, 8.0, 40, 10.0)
+
+    def test_fredholm_temperature_out_of_range_exit_two(self, tmp_path, capsys):
+        # t = 21 gives T = 9261, past the 8000 the Nystrom matrix accepts
+        cfg = write_config(tmp_path, {"t_param": 21})
+        assert main(["fredholm", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "t_param" in err
+        assert not (tmp_path / "fredholm.csv").exists()
+
     def test_io_error_exit_three(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -320,6 +320,38 @@ class TestRecurrenceRange:
             assert np.array_equal(table.log_h, ref.log_h)
 
 
+class TestGridShape:
+    """The grid is the core [-a - 0.5, 0.5] alone where the widened weight
+    window lies inside it, and the core plus a 20-panel tail on each side
+    where the window passes it on both; no panel is a sliver."""
+
+    # (potential, n) whose window n (V - min V) <= 400, widened, passes the
+    # core on both sides; at the other n of the grid below it lies inside
+    TAILED = {("gaussian", 16), ("gaussian", 64), ("quartic", 16), ("quartic", 64),
+              ("narrow", 16)}
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow"])
+    @pytest.mark.parametrize("n", [16, 64, 128, 512])
+    def test_tails_only_past_the_core(self, eqs, potential, n):
+        eq = eqs[potential]
+        grid = build_grid(eq, n)
+        core = 16 * (int(np.ceil(2.0 * (eq.a + 1.0) * n / (3.0 * eq.a))) + 20)
+        inside = (grid.nodes >= -eq.a - 0.5) & (grid.nodes <= 0.5)
+        if (potential, n) in self.TAILED:
+            assert grid.nodes.size == core + 2 * 20 * 16
+            assert np.count_nonzero(inside) == core
+            assert grid.nodes[0] < -eq.a - 0.5 and grid.nodes[-1] > 0.5
+        else:
+            assert grid.nodes.size == core and inside.all()
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow"])
+    @pytest.mark.parametrize("n", [16, 64, 128, 512])
+    def test_no_sliver_panels(self, eqs, potential, n):
+        # a 16-node Gauss-Legendre panel's weights sum to its length
+        lengths = build_grid(eqs[potential], n).weights.reshape(-1, 16).sum(axis=1)
+        assert lengths.min() > 1e-6
+
+
 class TestGridConvergence:
     """build_grid's core panel count, and half of it, against a grid with every
     core panel split in three; a quarter of it must fail.

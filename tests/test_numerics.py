@@ -30,6 +30,15 @@ class TestRealPolynomial:
         assert np.allclose(dp.coeffs, [0.0, 6.0, 6.0])
         assert RealPolynomial([7.0]).derivative()(1.23) == 0.0
 
+    def test_real_roots(self):
+        # (x - 1)(x + 2)(x^2 + 1) = x^4 + x^3 - x^2 + x - 2: the complex pair is dropped
+        p = RealPolynomial([-2.0, 1.0, -1.0, 1.0, 1.0])
+        assert np.allclose(np.sort(p.real_roots()), [-2.0, 1.0], atol=1e-14)
+        # x^2 + 1 = 5 at x = -2 and 2, and never equals 0 on the real line
+        q = RealPolynomial([1.0, 0.0, 1.0])
+        assert np.allclose(np.sort(q.real_roots(5.0)), [-2.0, 2.0], atol=1e-14)
+        assert q.real_roots().size == 0
+
     def test_trailing_zeros_normalized(self):
         p = RealPolynomial([1.0, 2.0, 0.0, 0.0])
         assert p.degree == 1
