@@ -238,8 +238,9 @@ def _solve_idpii(cfg, T, S_read):
         return solve_idpii(T, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
                            h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
     except DomainError as exc:
-        raise ConfigError(f"id-PII at T = {float(T)} with idpii_h_xi = {cfg.idpii_h_xi} "
-                          f"and idpii_n_steps = {cfg.idpii_n_steps}: {exc}") from exc
+        raise ConfigError(f"id-PII at T = {float(T)} (idpii_s_max = {cfg.idpii_s_max}, "
+                          f"idpii_h_xi = {cfg.idpii_h_xi}, idpii_n_steps = "
+                          f"{cfg.idpii_n_steps}): {exc}") from exc
 
 
 def _theorem1_target(eq, Q, cfg, s):

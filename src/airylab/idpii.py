@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError
 from .numerics import ode_rk4
-from .special import _AI_ZERO, _airy_cut, fermi_weight
+from .special import airy_ai, airy_ai_prime, fermi_weight
 
 
 class IdPiiSolution:
@@ -52,24 +52,32 @@ class IdPiiSolution:
 
 
 def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
-                h_xi=0.04, n_steps=2800, store_stride=4, guard_tol=1e-10):
+                h_xi=0.04, n_steps=2800):
     """Integrate the integro-differential Painleve II system downward in S.
 
-    Returns an IdPiiSolution with layers stored every `store_stride` RK4
-    steps.  A boundary-truncation guard flags (without aborting) layers where
-    the integrand Phi^2 * fermi_weight at the grid ends is not negligible
-    relative to its maximum.
+    Returns an IdPiiSolution with layers stored every 4 RK4 steps.  A
+    boundary-truncation guard flags (without aborting) layers where the
+    integrand Phi^2 * fermi_weight at the grid ends exceeds 1e-10 of its
+    maximum.  A T whose Airy start data leave the domain of airy_ai is refused.
     """
     if T <= 0:
         raise DomainError("T must be positive")
     if S_max <= S_min:
         raise DomainError("need S_max > S_min")
-    if n_steps % store_stride != 0:
-        raise DomainError("store_stride must divide n_steps")
+    if n_steps % 4 != 0:
+        raise DomainError("n_steps must be a multiple of 4, the storage stride")
     n_xi = int(round((xi_hi - xi_lo) / h_xi)) + 1
     if n_xi < 3:
         raise DomainError("need at least three xi samples")
     xi = xi_lo + h_xi * np.arange(n_xi)
+    # state (Phi, dPhi/dS) as two rows; P rides along as ode_rk4's scalar q
+    t16 = T ** (1.0 / 6.0)
+    arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
+    try:
+        state0 = np.array([t16 * airy_ai(arg0), (1.0 / t16) * airy_ai_prime(arg0)])
+    except DomainError as exc:
+        raise DomainError(f"T = {T:.6g} gives the lowest Airy start argument "
+                          f"T^(2/3) xi_lo + S_max T^(-1/3) = {arg0[0]:.6g}: {exc}") from exc
     w_xi = fermi_weight(xi)
     # I(S) = Phi^2 . wq: composite Simpson weights on the first n_simp (odd)
     # samples, a trapezoid closing panel when n_xi is even, times the Fermi weight
@@ -81,11 +89,6 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
         wq[-2:] += 0.5 * h_xi
     wq *= w_xi
 
-    # state (Phi, dPhi/dS) as two rows; P rides along as ode_rk4's scalar q
-    t16 = T ** (1.0 / 6.0)
-    arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
-    state0 = np.array([t16 * _airy_cut(arg0, cut=_AI_ZERO),
-                       (1.0 / t16) * _airy_cut(arg0, prime=True, cut=_AI_ZERO)])
     phi2 = np.empty(n_xi)  # Phi^2 and I(S) of the last accel call
     I = 0.0
 
@@ -97,7 +100,7 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
         out *= ph
         return S / (2.0 * T) + I / T
 
-    n_layers = n_steps // store_stride + 1
+    n_layers = n_steps // 4 + 1
     S_grid = np.empty(n_layers)
     layers = np.empty((n_layers, 2, n_xi))
     I_of_S = np.empty(n_layers)
@@ -106,16 +109,16 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
 
     def store(step, S, state, P):
         # ode_rk4 has just called accel on this layer: phi2 and I are its own
-        if step % store_stride:
+        if step % 4:
             return
-        layer = step // store_stride
+        layer = step // 4
         S_grid[layer] = S
         layers[layer] = state
         I_of_S[layer] = I
         P_of_S[layer] = P
         integrand = phi2 * w_xi
         peak = max(float(np.max(integrand)), 1e-300)
-        flags[layer] = max(integrand[0], integrand[-1]) > guard_tol * peak
+        flags[layer] = max(integrand[0], integrand[-1]) > 1e-10 * peak
 
     try:
         ode_rk4(accel, state0, S_max, S_min, n_steps, q0=S_max * S_max / (4.0 * T),

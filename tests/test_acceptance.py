@@ -270,7 +270,7 @@ def test_criterion_13_idpii_internal(sol_t1):
         denom = np.maximum(np.abs(rhs[mask]), 1e-3 * float(np.max(np.abs(rhs))))
         resid = max(resid, float(np.max(np.abs(d2 - rhs)[mask] / denom)))
     # step-doubling stability at a probe point
-    coarse = solve_idpii(1.0, n_steps=1400, store_stride=2)
+    coarse = solve_idpii(1.0, n_steps=1400)
     i0 = np.argmin(np.abs(sol_t1.xi_grid))
     j0 = np.argmin(np.abs(sol_t1.S_grid))
     jc = np.argmin(np.abs(coarse.S_grid - sol_t1.S_grid[j0]))

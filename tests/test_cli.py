@@ -363,6 +363,15 @@ class TestMain:
         assert "configuration error" in err and key in err
         assert not (tmp_path / f"{study}.csv").exists()
 
+    def test_idpii_temperature_past_the_airy_domain_exit_two(self, tmp_path, capsys):
+        # t_param = 0.1 is T = 10^{3/2}: the lowest start argument
+        # T^{2/3} xi_lo + S_max T^{-1/3} = -296.2 is below Ai's domain [-200, inf)
+        cfg = write_config(tmp_path, {"t_param": 0.1})
+        assert main(["idpii-solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "T = 31.6228" in err and "-296.205" in err
+        assert not (tmp_path / "idpii-solve.csv").exists()
+
     @pytest.mark.parametrize("study", ["theorem1", "theorem2"])
     def test_repeated_n_exit_two(self, tmp_path, capsys, study):
         # a repeated n would write its rows twice and fit a slope over one n

@@ -7,7 +7,7 @@ from airylab.errors import BlowUpError, DomainError
 from airylab.fredholm import fredholm_det_ft
 from airylab.idpii import (interp_I, interp_P, interp_phi, k_infinity,
                            solve_idpii, tw_local_check)
-from airylab.special import _AI_ZERO, _airy_cut, airy_ai, airy_ai_prime, fermi_weight
+from airylab.special import airy_ai, airy_ai_prime, fermi_weight
 
 import oracles
 
@@ -30,10 +30,11 @@ def _simpson_trapezoid(y, h):
 
 
 def _packed_rk4_march(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
-                      h_xi=0.04, n_steps=2800, store_stride=4, guard_tol=1e-10):
+                      h_xi=0.04, n_steps=2800):
     """The id-PII march as classical RK4 on the packed first-order state
     y = (Phi, dPhi/dS, P): an oracle for solve_idpii's Runge-Kutta-Nystrom
-    march, with the same start data, quadrature and truncation guard.
+    march, with the same start data, quadrature and truncation guard (a layer
+    every 4 steps, flagged when Phi^2 w at an end exceeds 1e-10 of its peak).
 
     Returns (S_grid, Phi, dPhi, I_of_S, P_of_S, flags) on the stored layers.
     """
@@ -43,8 +44,7 @@ def _packed_rk4_march(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     wq = np.array([_simpson_trapezoid(e, h_xi) for e in np.eye(n_xi)]) * w_xi
     t16 = T ** (1.0 / 6.0)
     arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
-    y = np.concatenate([t16 * _airy_cut(arg0, cut=_AI_ZERO),
-                        (1.0 / t16) * _airy_cut(arg0, prime=True, cut=_AI_ZERO),
+    y = np.concatenate([t16 * airy_ai(arg0), (1.0 / t16) * airy_ai_prime(arg0),
                         [S_max * S_max / (4.0 * T)]])
 
     def rhs(S, y):
@@ -57,12 +57,12 @@ def _packed_rk4_march(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     layers = []
     for i in range(n_steps + 1):
         S = S_max + h * i
-        if i % store_stride == 0:
+        if i % 4 == 0:
             ph = y[:n_xi]
             integrand = ph * ph * w_xi
             peak = max(float(np.max(integrand)), 1e-300)
             layers.append((S, ph.copy(), y[n_xi:-1].copy(), ph * ph @ wq, y[-1],
-                           max(integrand[0], integrand[-1]) > guard_tol * peak))
+                           max(integrand[0], integrand[-1]) > 1e-10 * peak))
         if i == n_steps:
             break
         k1 = rhs(S, y)
@@ -123,17 +123,20 @@ class TestSolver:
         assert worst <= 5e-4
 
     def test_step_doubling_stability(self):
-        a = solve_idpii(1.0, n_steps=2800, store_stride=4)
-        b = solve_idpii(1.0, n_steps=1400, store_stride=2)
+        a = solve_idpii(1.0, n_steps=2800)
+        b = solve_idpii(1.0, n_steps=1400)
         va = interp_phi(a, 0.0, 0.0)[0]
         vb = interp_phi(b, 0.0, 0.0)[0]
         assert abs(va - vb) < 1e-6
 
     def test_truncation_guard_is_informative(self, sol):
-        # one flag per stored layer; a loose tolerance clears them all
+        # one flag per stored layer, and both values occur: at S_max Phi^2 w
+        # peaks at 8e-7 and its value at xi = -30 is 8e-9 of that; at S_min
+        # the peak is 0.19 and the ends are below 3e-14 of it.  The flag
+        # rule itself is checked bitwise against the packed oracle in
+        # test_march_matches_packed_first_order_rk4
         assert sol.truncation_flags.shape == sol.S_grid.shape
-        loose = solve_idpii(1.0, n_steps=200, store_stride=4, guard_tol=1.0)
-        assert not np.any(loose.truncation_flags)
+        assert sol.truncation_flags[0] and not sol.truncation_flags[-1]
 
     @pytest.mark.parametrize("h_xi, n_xi", [(0.05, 301), (0.04, 376)])
     def test_integral_term_matches_simpson_oracle(self, h_xi, n_xi):
@@ -149,26 +152,26 @@ class TestSolver:
     def test_low_temperature_data_grows_from_the_far_tail(self):
         # at T = 1/16 the starting arguments T^{2/3} xi + S_max T^{-1/3} pass 30
         # for xi > -1.3; the march down to S = 0 lowers them by 12 T^{-1/3} ~ 30,
-        # so starting data near Ai(30) ~ 3e-110 grows to O(1) and must be kept
+        # so starting data near Ai(30) ~ 3e-49 grows to O(1) and must be kept
         T = 1.0 / 16.0
         s = solve_idpii(T)
         xi = np.linspace(-2.0, 2.0, 9)
         airy = T ** (1.0 / 6.0) * airy_ai(T ** (2.0 / 3.0) * xi)
         assert np.allclose(interp_phi(s, xi, 0.0)[0], airy, rtol=0.1, atol=0.0)
-        fine = solve_idpii(T, h_xi=0.02, n_steps=5600, store_stride=8)
+        fine = solve_idpii(T, h_xi=0.02, n_steps=5600)
         assert interp_I(s, 0.0) == pytest.approx(interp_I(fine, 0.0), rel=1e-3)
 
     def test_blowup_guard_names_solver_and_step(self):
         # a step of 10 in S overflows Phi within a few steps
         with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="id-PII") as exc:
-            solve_idpii(1.0, S_min=-400.0, n_steps=40, store_stride=4)
+            solve_idpii(1.0, S_min=-400.0, n_steps=40)
         assert exc.value.step is not None
 
     @pytest.mark.parametrize("T, tol", [(1.0, 1e-13), (1.0 / 16.0, 5e-11)])
     def test_march_matches_packed_first_order_rk4(self, T, tol):
         # the Nystrom march is the packed RK4 with its arithmetic regrouped:
         # at T = 1 they agree to rounding; at T = 1/16 the data grows from
-        # about 1e-110 and the rounding grows with it.  Each difference is
+        # about 3e-49 and the rounding grows with it.  Each difference is
         # relative to the largest value of its layer (P: of the whole run)
         S_ref, Phi_ref, dPhi_ref, I_ref, P_ref, flags_ref = _packed_rk4_march(T)
         s = solve_idpii(T)
@@ -189,7 +192,10 @@ class TestSolver:
         with pytest.raises(DomainError):
             solve_idpii(1.0, S_min=5.0, S_max=1.0)
         with pytest.raises(DomainError):
-            solve_idpii(1.0, n_steps=2801, store_stride=4)
+            solve_idpii(1.0, n_steps=2801)
+        # T = 10^{3/2} starts the march at Ai(-296.2), below the Airy domain
+        with pytest.raises(DomainError, match=r"T = 31\.6228 .* = -296\.205"):
+            solve_idpii(10.0 ** 1.5)
 
 
 class TestInterpolation:

@@ -64,10 +64,10 @@ class TestAiry:
 
     def test_anchor_generator_accuracy(self):
         # the positive asymptotic expansion, the one generator of the table's
-        # anchors, in long double on [12, 30] against 40-digit values
+        # anchors, in long double on [12, 100] against 40-digit values
         mpmath = pytest.importorskip("mpmath")
         from airylab.special import _airy_asy_pos
-        xs = np.linspace(12.0, 30.0, 37, dtype=np.longdouble)
+        xs = np.linspace(12.0, 100.0, 177, dtype=np.longdouble)
         worst = 0.0
         with mpmath.workdps(40):
             for x, *vals in zip(xs, *_airy_asy_pos(xs)):
@@ -104,10 +104,9 @@ class TestAiry:
     def test_whole_line_accuracy(self):
         # error in units of the oscillation amplitude for x < 0 (|x|^{-1/4}/sqrt(pi)
         # for Ai, |x|^{1/4}/sqrt(pi) for Ai'), relative for x >= 0; a fixed
-        # sample of the whole domain plus the points where the march from the
-        # asymptotic expansion begins (12) and the table hands over to it
-        # (30), and former seams between evaluation routes (-13, -9, -6, 2,
-        # 4, 8)
+        # sample of the whole domain plus the point where the march from the
+        # asymptotic expansion begins (12), and former seams between
+        # evaluation routes (-13, -9, -6, 2, 4, 8, 30)
         mpmath = pytest.importorskip("mpmath")
         seams = (-13.0, -9.0, -6.0, 2.0, 4.0, 8.0, 12.0, 30.0)
         near = [c + d for c in seams
@@ -124,8 +123,8 @@ class TestAiry:
         assert np.max(np.abs(airy_ai_prime(xs) - ref[:, 1]) / amp_prime) <= 5e-16
 
     def test_far_tail_relative_accuracy(self):
-        # beyond the table (30, 100] the asymptotic expansion serves Ai and
-        # Ai' directly; the id-PII starting data amplify them to O(1)
+        # the table on (30, 100], where Ai falls from 3e-49 to 3e-291; the
+        # id-PII starting data amplify these values to O(1)
         mpmath = pytest.importorskip("mpmath")
         xs = np.random.default_rng(20261018).uniform(30.0, 100.0, 300)
         with mpmath.workdps(30):
@@ -152,11 +151,36 @@ class TestAiry:
         special._airy_cut(x, prime=True)
         assert tables == [True]
 
+    def test_asymptotic_expansion_only_builds_the_table(self, monkeypatch):
+        # beyond 30 the table serves Ai and Ai' too: the expansion that feeds
+        # its anchors is not called at run time
+        from airylab import special
+        calls = []
+        real = special._airy_asy_pos
+
+        def spy(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(special, "_airy_asy_pos", spy)
+        x = np.linspace(30.0, 200.0, 341)[1:]
+        airy_ai(x)
+        airy_ai_prime(x)
+        for v in (30.5, 107.9, 150.0, 200.0):
+            airy_ai(v)
+            airy_ai_prime(v)
+        assert calls == []
+
     def test_domain_limits(self):
-        with pytest.raises(DomainError):
-            airy_ai(201.0)
-        with pytest.raises(DomainError):
-            airy_ai(np.nan)
+        for bad in (np.nan, np.inf, -np.inf, -201.0):
+            with pytest.raises(DomainError):
+                airy_ai(bad)
+            with pytest.raises(DomainError):
+                airy_ai_prime(np.array([0.0, bad]))
+        # from 108 on Ai and Ai' are 0.0 in float64
+        assert airy_ai(201.0) == 0.0
+        assert airy_ai_prime(1e6) == 0.0
+        assert np.array_equal(airy_ai(np.array([108.0, 1e300])), [0.0, 0.0])
 
 
 class TestLogisticFamily:
