@@ -94,7 +94,9 @@ def build_grid(eq, n):
     lies outside it.  The core [-a - 0.5, 0.5] carries
     ceil(2 (a + 1) n / (3 a)) + 20 equal panels.  A side gets a tail of 20
     geometrically graded panels up to its window end only where that end
-    lies past the core, so from n = 95 on 2(1+x)^2 the grid is the core alone.
+    lies more than one core panel past the core; an end closer than that
+    stretches the end panel to it.  So from n = 95 on 2(1+x)^2 the grid is
+    the core alone.
 
     The core count follows from what a panel must integrate: Phat_k Phat_j
     e^{-nV}, k, j <= n, has about 2n zeros on the support [-a, 0], so a core
@@ -119,13 +121,18 @@ def build_grid(eq, n):
     left_core, right_core = -eq.a - 0.5, 0.5
     n_core = math.ceil(2.0 * (eq.a + 1.0) * n / (3.0 * eq.a)) + 20
     bp = np.linspace(left_core, right_core, n_core + 1)
+    panel = bp[1] - bp[0]
     # geometric tails: panel lengths grow by a fixed ratio away from the core
     glen = np.cumsum(1.6 ** np.arange(20))
     glen /= glen[-1]
-    if left_win < left_core:
+    if left_win < left_core - panel:
         bp = np.concatenate((left_core - (left_core - left_win) * glen[::-1], bp))
-    if right_win > right_core:
+    else:
+        bp[0] = min(left_core, left_win)
+    if right_win > right_core + panel:
         bp = np.concatenate((bp, right_core + (right_win - right_core) * glen))
+    else:
+        bp[-1] = max(right_core, right_win)
     return EnsembleGrid(eq, n, PanelScheme(bp))
 
 

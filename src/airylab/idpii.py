@@ -6,24 +6,21 @@ The unknown Phi(xi | S, T) satisfies, as a function of S at each fixed xi,
     I(S) = int Phi(xi | S, T)^2 fermi_weight(xi) dxi,
 
 with Airy boundary data Phi ~ T^{1/6} Ai(T^{2/3} xi + S T^{-1/3}) for large S.
-The solver marches (Phi, dPhi/dS), held as the two rows of one array,
-downward in S from S_max on a fixed xi grid with numerics.ode_rk4, classical
-RK4 in Runge-Kutta-Nystrom form: each step computes the four accelerations
-(xi + S/T + 2 I/T) Phi at the stage values of Phi, and takes the slopes of Phi
-from the stage values of dPhi/dS.  I(S) is one dot product with precomputed
-quadrature weights, and the anti-derivative P, which obeys
-dP/dS = S/(2T) + I(S)/T with P(S_max) = S_max^2/(4T), is carried alongside as
-a scalar with the RK4 weights.
+The solver marches (Phi, dPhi/dS) downward in S from S_max on a fixed xi grid
+by classical RK4, in closed form since the equation is linear in Phi once the
+scalar I(S) is known (derivation in solve_idpii).  The anti-derivative P, with
+dP/dS = S/(2T) + I(S)/T and P(S_max) = S_max^2/(4T), rides along as a scalar.
 
 The limiting edge kernel K_infinity is built from interpolated (Phi, dPhi/dS)
 layers, and diagnostics compare second S-derivatives of log-Fredholm
 determinants with the solver's I(S).
 """
 
+import math
+
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .numerics import ode_rk4
 from .special import airy_ai, airy_ai_prime, fermi_weight
 
 
@@ -51,6 +48,15 @@ class IdPiiSolution:
         return self.xi_grid[1] - self.xi_grid[0]
 
 
+def _stage_integral(m, a0, a1, b0, b1):
+    """I(Y) = sum wq Y^2 for Y = (a0 + a1 xi) y + (b0 + b1 xi) v, from the
+    moments m = (yy_p, yv_p, vy_p, vv_p; p = 0, 1, 2), yv_p = sum wq xi^p y v."""
+    yy0, yv0, _, vv0, yy1, yv1, _, vv1, yy2, yv2, _, vv2 = m
+    return (a0 * a0 * yy0 + 2.0 * a0 * a1 * yy1 + a1 * a1 * yy2
+            + 2.0 * (a0 * b0 * yv0 + (a0 * b1 + a1 * b0) * yv1 + a1 * b1 * yv2)
+            + b0 * b0 * vv0 + 2.0 * b0 * b1 * vv1 + b1 * b1 * vv2)
+
+
 def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                 h_xi=0.04, n_steps=2800):
     """Integrate the integro-differential Painleve II system downward in S.
@@ -58,7 +64,28 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     Returns an IdPiiSolution with layers stored every 4 RK4 steps.  A
     boundary-truncation guard flags (without aborting) layers where the
     integrand Phi^2 * fermi_weight at the grid ends exceeds 1e-10 of its
-    maximum.  A T whose Airy start data leave the domain of airy_ai is refused.
+    maximum.  A T whose Airy start data leave the domain of airy_ai is refused,
+    and a step after which Phi, dPhi/dS or P is not finite raises BlowUpError.
+
+    The march is classical RK4 on the first-order system (y, v, P), y = Phi,
+    v = dPhi/dS, in Runge-Kutta-Nystrom form (Hairer, Norsett and Wanner,
+    Solving ODEs I, II.14), the slopes of y taken from the stage values of v.
+    With I known, y'' = (xi + g) y, g = S/T + 2 I/T, is linear in y.  So a
+    step of h from S, with k_j = (xi + g_j) Y_j, g_j = S_j/T + 2 I(Y_j)/T and
+    S_j = S, S + h/2, S + h/2, S + h, is
+
+        Y_1 = y,    Y_2 = y + (h/2) v,
+        Y_3 = Y_2 + (h^2/4) k_1 = (1 + (h^2/4)(xi + g_1)) y + (h/2) v,
+        Y_4 = y + h v + (h^2/2) k_2
+            = (1 + (h^2/2)(xi + g_2)) y + (h + (h^3/4)(xi + g_2)) v,
+        y += h v + (h^2/6)(k_1 + k_2 + k_3),
+        v += (h/6)(k_1 + 2 k_2 + 2 k_3 + k_4),
+        P += (h/6)(r_1 + 2 r_2 + 2 r_3 + r_4),  r_j = S_j/(2T) + I(Y_j)/T.
+
+    Each Y_j is (a_0 + a_1 xi) y + (b_0 + b_1 xi) v, so I(Y_j) is a quadratic
+    form in the moments sum wq xi^p {y^2, y v, v^2}, p <= 2, and the new
+    (y, v) is a 2 x 6 matrix applied to the rows xi^p (y, v): a step is one
+    product for the moments, one for the state, and float arithmetic.
     """
     if T <= 0:
         raise DomainError("T must be positive")
@@ -70,11 +97,13 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     if n_xi < 3:
         raise DomainError("need at least three xi samples")
     xi = xi_lo + h_xi * np.arange(n_xi)
-    # state (Phi, dPhi/dS) as two rows; P rides along as ode_rk4's scalar q
+    # basis[p] = xi^p (Phi, dPhi/dS), p = 0, 1, 2; a step writes the next state
+    # into spare[0] and the two swap
+    basis, spare = np.empty((2, 3, 2, n_xi))
     t16 = T ** (1.0 / 6.0)
     arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
     try:
-        state0 = np.array([t16 * airy_ai(arg0), (1.0 / t16) * airy_ai_prime(arg0)])
+        basis[0] = t16 * airy_ai(arg0), (1.0 / t16) * airy_ai_prime(arg0)
     except DomainError as exc:
         raise DomainError(f"T = {T:.6g} gives the lowest Airy start argument "
                           f"T^(2/3) xi_lo + S_max T^(-1/3) = {arg0[0]:.6g}: {exc}") from exc
@@ -88,17 +117,9 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     if n_simp < n_xi:
         wq[-2:] += 0.5 * h_xi
     wq *= w_xi
-
-    phi2 = np.empty(n_xi)  # Phi^2 and I(S) of the last accel call
-    I = 0.0
-
-    def accel(S, ph, out):
-        nonlocal I
-        np.multiply(ph, ph, out=phi2)
-        I = float(phi2 @ wq)
-        np.add(xi, S / T + 2.0 * I / T, out=out)
-        out *= ph
-        return S / (2.0 * T) + I / T
+    # stacked twice: an (n,) x (2, n) broadcast costs twice a (2, n) product
+    xi2, wq2 = np.array([xi, xi]), np.array([wq, wq])
+    wy, mom, coef = np.empty((2, n_xi)), np.empty((6, 2)), np.empty((2, 6))
 
     n_layers = n_steps // 4 + 1
     S_grid = np.empty(n_layers)
@@ -106,25 +127,58 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     I_of_S = np.empty(n_layers)
     P_of_S = np.empty(n_layers)
     flags = np.zeros(n_layers, dtype=bool)
-
-    def store(step, S, state, P):
-        # ode_rk4 has just called accel on this layer: phi2 and I are its own
-        if step % 4:
-            return
-        layer = step // 4
-        S_grid[layer] = S
-        layers[layer] = state
-        I_of_S[layer] = I
-        P_of_S[layer] = P
-        integrand = phi2 * w_xi
-        peak = max(float(np.max(integrand)), 1e-300)
-        flags[layer] = max(integrand[0], integrand[-1]) > 1e-10 * peak
-
-    try:
-        ode_rk4(accel, state0, S_max, S_min, n_steps, q0=S_max * S_max / (4.0 * T),
-                observer=store)
-    except BlowUpError as exc:
-        raise BlowUpError(f"id-PII {exc}", step=exc.step) from exc
+    h = (S_min - S_max) / n_steps
+    hh = h * h
+    h2, hh4, hh2, hhh4 = 0.5 * h, 0.25 * hh, 0.5 * hh, 0.25 * hh * h
+    c_y, c_v = hh / 6.0, h / 6.0
+    P = S_max * S_max / (4.0 * T)
+    for i, S in enumerate((S_max + h * np.arange(n_steps + 1)).tolist()):
+        np.multiply(xi2, basis[0], out=basis[1])
+        np.multiply(xi2, basis[1], out=basis[2])
+        np.multiply(wq2, basis[0], out=wy)
+        # rows y, v, xi y, xi v, xi^2 y, xi^2 v against columns wq y, wq v
+        np.matmul(basis.reshape(6, n_xi), wy.T, out=mom)
+        m = mom.ravel().tolist()
+        # the moments hold Phi^2 and overflow a step before the state can,
+        # so only then is the state itself checked
+        if not math.isfinite(sum(m) + P) and not (
+                math.isfinite(P) and np.isfinite(basis[0]).all()):
+            raise BlowUpError(f"id-PII state became non-finite at step {i}", step=i)
+        I1 = m[0]
+        if i % 4 == 0:
+            layer = i // 4
+            S_grid[layer] = S
+            layers[layer] = basis[0]
+            I_of_S[layer] = I1
+            P_of_S[layer] = P
+            integrand = basis[0, 0] * basis[0, 0] * w_xi
+            peak = max(float(np.max(integrand)), 1e-300)
+            flags[layer] = max(integrand[0], integrand[-1]) > 1e-10 * peak
+        if i == n_steps:
+            break
+        S_h, S_e = S + 0.5 * h, S + h
+        g1 = S / T + 2.0 * I1 / T
+        I2 = _stage_integral(m, 1.0, 0.0, h2, 0.0)
+        g2 = S_h / T + 2.0 * I2 / T
+        a3 = 1.0 + hh4 * g1
+        I3 = _stage_integral(m, a3, hh4, h2, 0.0)
+        g3 = S_h / T + 2.0 * I3 / T
+        a4, b4 = 1.0 + hh2 * g2, h + hhh4 * g2
+        I4 = _stage_integral(m, a4, hh2, b4, hhh4)
+        g4 = S_e / T + 2.0 * I4 / T
+        P += c_v * ((S / (2.0 * T) + I1 / T) + 2.0 * (S_h / (2.0 * T) + I2 / T)
+                    + 2.0 * (S_h / (2.0 * T) + I3 / T) + (S_e / (2.0 * T) + I4 / T))
+        # on the rows of basis, k_1 = (g1, 0, 1, 0, 0, 0), k_2 = (g2, h2 g2, 1,
+        # h2, 0, 0), k_3 = (g3 a3, h2 g3, g3 hh4 + a3, h2, hh4, 0) and k_4 =
+        # (g4 a4, g4 b4, g4 hh2 + a4, g4 hhh4 + b4, hh2, hhh4)
+        coef[:] = ((1.0 + c_y * (g1 + g2 + g3 * a3), h + c_y * h2 * (g2 + g3),
+                    c_y * (2.0 + g3 * hh4 + a3), c_y * h, c_y * hh4, 0.0),
+                   (c_v * (g1 + 2.0 * (g2 + g3 * a3) + g4 * a4),
+                    1.0 + c_v * (h * (g2 + g3) + g4 * b4),
+                    c_v * (3.0 + 2.0 * (g3 * hh4 + a3) + g4 * hh2 + a4),
+                    c_v * (2.0 * h + g4 * hhh4 + b4), c_v * hh, c_v * hhh4))
+        np.matmul(coef, basis.reshape(6, n_xi), out=spare[0])
+        basis, spare = spare, basis
     return IdPiiSolution(T, xi, S_grid, layers, I_of_S, P_of_S, flags)
 
 

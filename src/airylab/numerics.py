@@ -1,21 +1,16 @@
-"""Low-level kernels: polynomials, Gauss-Legendre panels, half-line maps, log-dets, RK4.
+"""Low-level kernels: polynomials, Gauss-Legendre panels, half-line maps, log-dets.
 
-Everything downstream (equilibrium measures, recurrences, Fredholm determinants,
-the integro-differential solver) is built on the primitives in this module, so
-they are deliberately small, deterministic and heavily tested.  The half-line
-maps return the mapped nodes and their Jacobian together, (x, dx/du); lu_logdet
-is the one place a determinant's sign is tested.  ode_rk4 is classical RK4
-for second-order systems y'' = f(s, y), written in Runge-Kutta-Nystrom form
-(Hairer, Norsett and Wanner, Solving ODEs I, II.14): the steps of RK4 on the
-first-order system (y, y'), with the slopes of y taken from the y' stage
-values, so a step computes only the four accelerations.
+Equilibrium measures, recurrences and Fredholm determinants are built on the
+primitives in this module, so they are deliberately small, deterministic and
+heavily tested.  The half-line maps return the mapped nodes and their Jacobian
+together, (x, dx/du); lu_logdet is the one place a determinant's sign is
+tested.  The package's one RK4, the id-PII march, is written in closed form in
+idpii.solve_idpii.
 """
-
-import math
 
 import numpy as np
 
-from .errors import BlowUpError, BreakdownError, ConvergenceError, DomainError
+from .errors import BreakdownError, ConvergenceError, DomainError
 
 
 class RealPolynomial:
@@ -214,69 +209,3 @@ def lu_logdet(a, where):
     if sign <= 0:
         raise BreakdownError(f"{where}: determinant is not positive")
     return float(logabs)
-
-
-def ode_rk4(accel, state0, s_start, s_end, n_steps, q0=0.0, observer=None):
-    """Classical fixed-step RK4 for y'' = f(s, y) in Runge-Kutta-Nystrom form.
-
-    state0 holds y and y' as the two rows of a (2, n) array.  accel(s, y, out)
-    writes f(s, y) into out and returns dq/ds, the rate of a scalar q carried
-    alongside from q0 with the RK4 weights.  The y-slopes of the stages are
-    the y' stage values, so only the four accelerations k_i are computed:
-    Y_2 = y + (h/2) y', Y_3 = Y_2 + (h^2/4) k_1, Y_4 = y + h y' + (h^2/2) k_2,
-    then y += h y' + (h^2/6)(k_1 + k_2 + k_3) and
-    y' += (h/6)(k_1 + 2 k_2 + 2 k_3 + k_4); this is the classical RK4 of the
-    first-order system (y, y', q) with the arithmetic regrouped.
-
-    Returns (s_grid, state, q).  If observer is given it is called as
-    observer(step_index, s, state, q) at every grid point including the
-    initial one, just after accel was evaluated at that state, so it may read
-    what accel left behind.  The state is overwritten by the next step, so an
-    observer copies what it keeps; heavy trajectories store themselves this
-    way instead of materializing a (n_steps+1) x dim array.
-    """
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise DomainError("n_steps must be positive")
-    if s_start == s_end:
-        raise DomainError("integration interval is empty")
-    state0 = np.asarray(state0, dtype=float)
-    if state0.ndim != 2 or state0.shape[0] != 2:
-        raise DomainError("state0 must hold y and y' as the rows of a (2, n) array")
-    # rows y, y', k_1 .. k_4: every stage value, and the update of y and of
-    # y', is one product of a short coefficient vector with consecutive rows
-    # of this buffer (a matrix-vector product; a matrix-matrix one for the
-    # whole update touches a BLAS work buffer that adds ~0.3 MB to the peak)
-    buf = np.empty((6, state0.shape[1]))
-    buf[:2] = state0
-    state, k = buf[:2], buf[2:]
-    y = np.empty(state0.shape[1])
-    h = (s_end - s_start) / n_steps
-    hh = h * h
-    c2 = np.array([1.0, h / 2.0])
-    c3 = np.array([1.0, h / 2.0, hh / 4.0])
-    c4 = np.array([1.0, h, 0.0, hh / 2.0])
-    c_y = np.array([h, hh / 6.0, hh / 6.0, hh / 6.0])
-    c_v = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    s_grid = s_start + h * np.arange(n_steps + 1)
-    q = float(q0)
-    r1 = accel(s_grid[0], state[0], k[0])
-    if observer is not None:
-        observer(0, s_grid[0], state, q)
-    for i in range(n_steps):
-        s = s_grid[i]
-        np.dot(c2, buf[:2], out=y)
-        r2 = accel(s + 0.5 * h, y, k[1])
-        np.dot(c3, buf[:3], out=y)
-        r3 = accel(s + 0.5 * h, y, k[2])
-        np.dot(c4, buf[:4], out=y)
-        r4 = accel(s + h, y, k[3])
-        state[0] += np.dot(c_y, buf[1:5], out=y)
-        state[1] += np.dot(c_v, buf[2:], out=y)
-        q += (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        if not (np.isfinite(state).all() and math.isfinite(q)):
-            raise BlowUpError(f"state became non-finite at step {i + 1}", step=i + 1)
-        r1 = accel(s_grid[i + 1], state[0], k[0])
-        if observer is not None:
-            observer(i + 1, s_grid[i + 1], state, q)
-    return s_grid, state, q

@@ -345,6 +345,24 @@ class TestGridShape:
             assert grid.nodes.size == core and inside.all()
 
     @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow"])
+    def test_every_tail_longer_than_a_core_panel(self, eqs, potential):
+        # the sweep passes every n where a tail disappears (n = 95, 122 and
+        # 26) and the band just below it, where a window end less than one
+        # core panel past the core stretches the end panel instead of getting
+        # 20 graded slivers
+        eq = eqs[potential]
+        for n in range(16, 705):
+            grid = build_grid(eq, n)
+            n_core = int(np.ceil(2.0 * (eq.a + 1.0) * n / (3.0 * eq.a))) + 20
+            lengths = grid.weights.reshape(-1, 16).sum(axis=1)
+            mids = grid.nodes.reshape(-1, 16).mean(axis=1)
+            tails = (lengths[mids < -eq.a - 0.5], lengths[mids > 0.5])
+            assert lengths.size == n_core + sum(tail.size for tail in tails)
+            for tail in tails:
+                assert tail.size in (0, 20)
+                assert tail.size == 0 or tail.sum() > (eq.a + 1.0) / n_core
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow"])
     @pytest.mark.parametrize("n", [16, 64, 128, 512])
     def test_no_sliver_panels(self, eqs, potential, n):
         # a 16-node Gauss-Legendre panel's weights sum to its length

@@ -32,9 +32,10 @@ def _simpson_trapezoid(y, h):
 def _packed_rk4_march(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                       h_xi=0.04, n_steps=2800):
     """The id-PII march as classical RK4 on the packed first-order state
-    y = (Phi, dPhi/dS, P): an oracle for solve_idpii's Runge-Kutta-Nystrom
-    march, with the same start data, quadrature and truncation guard (a layer
-    every 4 steps, flagged when Phi^2 w at an end exceeds 1e-10 of its peak).
+    y = (Phi, dPhi/dS, P): an oracle for solve_idpii's closed-form
+    Runge-Kutta-Nystrom march, with the same start data, quadrature and
+    truncation guard (a layer every 4 steps, flagged when Phi^2 w at an end
+    exceeds 1e-10 of its peak).
 
     Returns (S_grid, Phi, dPhi, I_of_S, P_of_S, flags) on the stored layers.
     """
@@ -161,17 +162,32 @@ class TestSolver:
         fine = solve_idpii(T, h_xi=0.02, n_steps=5600)
         assert interp_I(s, 0.0) == pytest.approx(interp_I(fine, 0.0), rel=1e-3)
 
+    def test_march_converges_at_fourth_order(self):
+        # halving the S-step divides the successive differences of I(0) and
+        # P(0) by 2^4 = 16 (15.6 and 15.8 here); a wrong stage coefficient
+        # drops the order
+        values = []
+        for n in (700, 1400, 2800, 5600):
+            s = solve_idpii(1.0, n_steps=n)
+            values.append((interp_I(s, 0.0), interp_P(s, 0.0)))
+        diffs = np.diff(np.array(values), axis=0)
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((14.0 <= ratios) & (ratios <= 18.0))
+
     def test_blowup_guard_names_solver_and_step(self):
-        # a step of 10 in S overflows Phi within a few steps
+        # a step of 10 in S overflows Phi within a few steps.  Phi^2 in the
+        # moments overflows at step 3 while Phi and P are still finite; the
+        # march stops being finite at step 4
         with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="id-PII") as exc:
             solve_idpii(1.0, S_min=-400.0, n_steps=40)
-        assert exc.value.step is not None
+        assert exc.value.step == 4
+        assert "at step 4" in str(exc.value)
 
     @pytest.mark.parametrize("T, tol", [(1.0, 1e-13), (1.0 / 16.0, 5e-11)])
     def test_march_matches_packed_first_order_rk4(self, T, tol):
-        # the Nystrom march is the packed RK4 with its arithmetic regrouped:
-        # at T = 1 they agree to rounding; at T = 1/16 the data grows from
-        # about 3e-49 and the rounding grows with it.  Each difference is
+        # the closed-form Nystrom march is the packed RK4 with its arithmetic
+        # regrouped: at T = 1 they agree to rounding; at T = 1/16 the data
+        # grows from about 3e-49 and the rounding grows with it.  Each difference is
         # relative to the largest value of its layer (P: of the whole run)
         S_ref, Phi_ref, dPhi_ref, I_ref, P_ref, flags_ref = _packed_rk4_march(T)
         s = solve_idpii(T)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airylab.errors import BlowUpError, BreakdownError, DomainError
+from airylab.errors import BreakdownError, DomainError
 from airylab.numerics import (PanelScheme, RealPolynomial, gauss_legendre,
                               integrate_panels, lu_logdet, map_log_linear,
-                              map_semi_infinite, ode_rk4)
+                              map_semi_infinite)
 
 
 class TestRealPolynomial:
@@ -211,107 +211,3 @@ class TestLogDet:
     def test_rejects_nonsquare(self):
         with pytest.raises(DomainError):
             lu_logdet(np.ones((2, 3)), "nonsquare")
-
-
-class TestRK4:
-    """ode_rk4 integrates y'' = f(s, y) from the rows (y, y') of a (2, n) state."""
-
-    @staticmethod
-    def _linear(c):
-        def accel(s, y, out):
-            np.multiply(y, c, out=out)
-            return 0.0
-        return accel
-
-    def test_exponential_growth(self):
-        # y'' = y, y(0) = y'(0) = 1: y = e^s
-        _, state, _ = ode_rk4(self._linear(1.0), [[1.0], [1.0]], 0.0, 1.0, 200)
-        assert state[0, 0] == pytest.approx(np.e, rel=1e-9)
-        assert state[1, 0] == pytest.approx(np.e, rel=1e-9)
-
-    def test_backward_integration(self):
-        _, state, _ = ode_rk4(self._linear(1.0), [[np.e], [np.e]], 1.0, 0.0, 200)
-        assert state[0, 0] == pytest.approx(1.0, rel=1e-9)
-
-    def test_harmonic_oscillator_energy(self):
-        _, state, _ = ode_rk4(self._linear(-1.0), [[1.0], [0.0]], 0.0, 2 * np.pi, 400)
-        assert state[0, 0] == pytest.approx(1.0, abs=1e-8)
-        assert state[1, 0] == pytest.approx(0.0, abs=1e-8)
-
-    def test_fourth_order_convergence(self):
-        # y'' = -y over [0, 2 pi] from (1, 0), with q' = y carried alongside
-        # (q = sin s): halving h divides the error of (y, y') and of q by
-        # 2^4 = 16; a wrong stage coefficient (h^2/2 for h^2/4 in Y_3, say)
-        # drops the order.  (The error of y alone is the O(h^5) amplitude
-        # error at a full period, so it is not the one measured.)
-        def accel(s, y, out):
-            np.negative(y, out=out)
-            return float(y[0])
-
-        def errors(n):
-            _, state, q = ode_rk4(accel, [[1.0], [0.0]], 0.0, 2 * np.pi, n)
-            return np.hypot(state[0, 0] - 1.0, state[1, 0]), abs(q)
-
-        for n in (20, 40):
-            for coarse, fine in zip(errors(n), errors(2 * n)):
-                assert 14.0 <= coarse / fine <= 18.0
-
-    def test_rate_is_integrated_with_rk4_weights(self):
-        # q' = s^3: the RK4 weights are Simpson's rule, exact for a cubic
-        def accel(s, y, out):
-            out[:] = 0.0
-            return s ** 3
-        _, _, q = ode_rk4(accel, [[0.0], [0.0]], 0.0, 2.0, 3, q0=1.0)
-        assert q == pytest.approx(1.0 + 2.0 ** 4 / 4.0, rel=1e-14)
-
-    def test_observer_sees_every_step(self):
-        seen = []
-        ode_rk4(self._linear(-1.0), [[1.0], [0.0]], 0.0, 1.0, 10,
-                observer=lambda i, s, state, q: seen.append((i, s, state[0, 0])))
-        assert len(seen) == 11
-        assert seen[0][0] == 0 and seen[-1][0] == 10
-        assert seen[0][1] == 0.0 and seen[-1][1] == pytest.approx(1.0, abs=1e-15)
-        assert seen[-1][2] == pytest.approx(np.cos(1.0), abs=1e-6)  # h = 0.1
-
-    def test_observer_follows_an_accel_call_at_the_same_state(self):
-        # what accel computed last belongs to the state the observer sees
-        last = {}
-
-        def accel(s, y, out):
-            last["s"], last["y"] = s, y.copy()
-            np.negative(y, out=out)
-            return 0.0
-
-        def observer(i, s, state, q):
-            assert last["s"] == s and np.array_equal(last["y"], state[0])
-
-        ode_rk4(accel, [[1.0, 2.0], [0.0, 1.0]], 0.0, 1.0, 7, observer=observer)
-
-    def test_blowup_detected(self):
-        # y'' = 6 y^2 from (1, 2) is y = 1/(1 - s)^2, singular at s = 1; with
-        # h = 0.1 the march cannot overflow before it gets there
-        def accel(s, y, out):
-            np.multiply(y, y, out=out)
-            out *= 6.0
-            return 0.0
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as exc:
-            ode_rk4(accel, [[1.0], [2.0]], 0.0, 5.0, 50)
-        assert exc.value.step >= 10
-        assert f"at step {exc.value.step}" in str(exc.value)
-
-    def test_blowup_of_the_carried_rate_detected(self):
-        def accel(s, y, out):
-            out[:] = 0.0
-            return float("inf") if s > 0.5 else 0.0
-        # the first stage past s = 0.5 is the midpoint 0.55 of step 6
-        with pytest.raises(BlowUpError) as exc:
-            ode_rk4(accel, [[1.0], [0.0]], 0.0, 1.0, 10)
-        assert exc.value.step == 6
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            ode_rk4(self._linear(1.0), [[1.0], [1.0]], 0.0, 1.0, 0)
-        with pytest.raises(DomainError):
-            ode_rk4(self._linear(1.0), [[1.0], [1.0]], 1.0, 1.0, 10)
-        with pytest.raises(DomainError):
-            ode_rk4(self._linear(1.0), [1.0, 1.0], 0.0, 1.0, 10)
