@@ -29,7 +29,7 @@ from .ensemble import (DeformationQ, build_tables, kernel_trace,
                        rescaled_edge_kernel)
 from .errors import DomainError
 from .fredholm import fredholm_det_ft
-from .idpii import interp_P, k_infinity, solve_idpii, tw_local_check
+from .idpii import interp_P, k_infinity, limit_coordinates, solve_idpii, tw_local_check
 from .special import f_beta_quad, f_k_closed
 
 
@@ -195,11 +195,13 @@ def _failed(study, params, exc):
 
 def _sweep(study, s, n_list, limit, point, bound):
     """A convergence study over n at fixed s: limit() once, then point(limit, n)
-    -> (value, error, aux, ok) for each n.  A limit that raised fails every n,
-    a point that raised only its own.  Two or more errors give <study>-summary:
-    strictly decreasing in n, log-log slope <= bound."""
+    -> (value, error, aux, ok) for each n.  A limit that raised fails every n
+    (a ConfigError ends the study), a point that raised only its own.  Two or
+    more errors give <study>-summary: strictly decreasing in n, log-log slope <= bound."""
     try:
         lim = limit()
+    except ConfigError:
+        raise
     except Exception as exc:
         return [_failed(study, (n, s), exc) for n in n_list]
     records, ns, errs = [], [], []
@@ -228,30 +230,39 @@ def _setup(cfg):
     return eq, Q, Q.t / eq.c_v
 
 
-def _solve_idpii(cfg, T, S_read):
-    """The id-PII solution at temperature T, on a window that holds every S in S_read."""
+def _solve_idpii(cfg, t, s_read):
+    """The id-PII solution at t, on a window that holds the S of every s in s_read."""
+    S_read, T, _, _ = limit_coordinates(np.asarray(s_read, dtype=float), t)
     outside = [float(S) for S in S_read if not cfg.idpii_s_min <= S <= cfg.idpii_s_max]
     if outside:
-        raise ConfigError(f"id-PII at T = {float(T)} is read at S = {outside}, outside "
+        raise ConfigError(f"id-PII at t = {t}, T = {T} is read at S = {outside}, outside "
                           f"[idpii_s_min, idpii_s_max] = [{cfg.idpii_s_min}, {cfg.idpii_s_max}]")
     try:
         return solve_idpii(T, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
                            h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
     except DomainError as exc:
-        raise ConfigError(f"id-PII at T = {float(T)} (idpii_s_max = {cfg.idpii_s_max}, "
+        raise ConfigError(f"id-PII at t = {t}, T = {T} (idpii_s_max = {cfg.idpii_s_max}, "
                           f"idpii_h_xi = {cfg.idpii_h_xi}, idpii_n_steps = "
                           f"{cfg.idpii_n_steps}): {exc}") from exc
 
 
-def _theorem1_target(eq, Q, cfg, s):
-    """The n-independent limit log det(I - K_{t_eff^3}) on L^2(s / t_eff, infinity)."""
-    return float(np.log(fredholm_det_ft(-s * eq.c_v / Q.t, Q.t ** 3 / eq.c_v ** 3,
-                                        cfg.fredholm_m, cfg.fredholm_L)))
+def _limit_det(cfg, sigma, T_L, where):
+    """L(sigma, T_L); a point outside the Nystrom domain is a configuration error of where."""
+    try:
+        return fredholm_det_ft(sigma, T_L, cfg.fredholm_m, cfg.fredholm_L)
+    except DomainError as exc:
+        raise ConfigError(f"{where} reads L(sigma = {sigma}, T_L = {T_L}): {exc}") from exc
+
+
+def _theorem1_target(cfg, s, t):
+    """The n-independent limit log L(sigma, T_L) at the limit coordinates of (s, t)."""
+    _, _, sigma, T_L = limit_coordinates(s, t)
+    return float(np.log(_limit_det(cfg, sigma, T_L, f"theorem1 at s = {s}, t = {t}")))
 
 
 def run_theorem1(cfg):
     """Per (n, s): both finite-n routes against the limiting log-determinant."""
-    eq, Q, _ = _setup(cfg)
+    eq, Q, t_eff = _setup(cfg)
 
     def point(s, tgt, n):
         grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
@@ -261,7 +272,7 @@ def run_theorem1(cfg):
         return lg, err, {"route_det": ld, "target": tgt, "error": err}, routes_ok
 
     return [r for s in cfg.s_list
-            for r in _sweep("theorem1", s, cfg.n_list, lambda: _theorem1_target(eq, Q, cfg, s),
+            for r in _sweep("theorem1", s, cfg.n_list, lambda: _theorem1_target(cfg, s, t_eff),
                             functools.partial(point, s), -0.3)]
 
 
@@ -269,7 +280,7 @@ def run_theorem2(cfg):
     """Sup over a 5x5 grid of the finite-n edge kernel minus its limit."""
     eq, Q, t_eff = _setup(cfg)
     s = cfg.s_list[0]
-    sol = _solve_idpii(cfg, t_eff ** -1.5, [s * t_eff ** -1.5])
+    sol = _solve_idpii(cfg, t_eff, [s])
     us = np.linspace(-2.0, 2.0, 5)
     # both kernels are symmetric to the bit, so the pairs u <= v give the sup
     pairs = [(u, v) for i, u in enumerate(us) for v in us[i:]]
@@ -290,10 +301,8 @@ def run_theorem3(cfg):
     Q2 = DeformationQ(cfg.deformation2)
     if abs(Q1.t - Q2.t) > 1e-12:
         raise ConfigError("the two deformations must share t = -Q'(0)")
-    scale = t_eff ** -1.5
     # only the s-differences read the solution, and one s has none
-    sol = _solve_idpii(cfg, scale, [s * scale for s in cfg.s_list]) \
-        if len(cfg.s_list) >= 2 else None
+    sol = _solve_idpii(cfg, t_eff, cfg.s_list) if len(cfg.s_list) >= 2 else None
 
     records = []
     c_by_q = {}
@@ -318,8 +327,8 @@ def run_theorem3(cfg):
     if sol is not None:
         pred = {}
         for s in cfg.s_list:
-            S_t = s * scale
-            pred[s] = (eq.c_v ** 0.5 / Q1.t ** 0.5) * (interp_P(sol, S_t) - S_t ** 2 / (4.0 * scale))
+            S, T, _, _ = limit_coordinates(s, t_eff)
+            pred[s] = t_eff * T * (interp_P(sol, S) - S ** 2 / (4.0 * T))  # t T = t^{-1/2}
         s0 = cfg.s_list[0]
         for s in cfg.s_list[1:]:
             for n in cfg.n_list:
@@ -368,11 +377,11 @@ def run_crosschecks(cfg):
     records.append(ResultRecord("crosscheck-fredholm", (), conv, {},
                                 "pass" if conv < 1e-8 else "fail"))
 
-    sol = _solve_idpii(cfg, 1.0, (0.0, 1.0))
+    sol = _solve_idpii(cfg, 1.0, (0.0, 1.0))  # at t = 1, S = s and T = T_L = 1
     spacing = 0.05
     for S in (0.0, 1.0):
-        stencil = [float(np.log(det(-(S + j * spacing), 1.0, cfg.fredholm_m)))
-                   for j in (-2, -1, 0, 1, 2)]
+        _, _, sigma, T_L = limit_coordinates(S + spacing * np.arange(-2.0, 3.0), 1.0)
+        stencil = [float(np.log(det(x, T_L, cfg.fredholm_m))) for x in sigma.tolist()]
         res = tw_local_check(sol, S, stencil, spacing)
         records.append(ResultRecord("crosscheck-twlocal", (S,), res, {},
                                     "pass" if res <= 2e-3 else "fail"))
@@ -380,18 +389,15 @@ def run_crosschecks(cfg):
 
 
 def _run_fredholm(cfg):
-    """L(s, t^3), the temperature of the idpii-solve solution at T = t^{-3/2}."""
-    T = cfg.t_param ** 3
-    try:
-        return [ResultRecord("fredholm", (s, T),
-                             fredholm_det_ft(s, T, cfg.fredholm_m, cfg.fredholm_L), {}, "pass")
-                for s in cfg.s_list]
-    except DomainError as exc:
-        raise ConfigError(f"fredholm at T = t_param^3 = {T}: {exc}") from exc
+    """L(s, t^3) for s in s_list, the temperature of the idpii-solve solution at t."""
+    T_L = limit_coordinates(0.0, cfg.t_param)[3]
+    return [ResultRecord("fredholm", (s, T_L),
+                         _limit_det(cfg, s, T_L, f"fredholm at t_param = {cfg.t_param}"), {}, "pass")
+            for s in cfg.s_list]
 
 
 def _run_idpii_solve(cfg):
-    sol = _solve_idpii(cfg, cfg.t_param ** -1.5, ())
+    sol = _solve_idpii(cfg, cfg.t_param, ())
     stride = max(1, sol.S_grid.size // 50)
     return [ResultRecord("idpii", (float(S),), float(I),
                          {"P": float(P), "truncated": int(flag)}, "pass")

@@ -65,9 +65,9 @@ def build_nystrom(s, T, m, L=10.0):
     logarithmic end is short, this is what keeps the Airy tail in the domain.
     """
     if not np.isfinite(s) or abs(s) > 12.0:
-        raise DomainError("s must satisfy |s| <= 12")
+        raise DomainError(f"s = {s:.6g} is outside |s| <= 12")
     if not (0 < T <= 8000.0):
-        raise DomainError("T must lie in (0, 8000]")
+        raise DomainError(f"T = {T:.6g} is outside (0, 8000]")
     x, sw = _half_line_nodes(m, map_log_linear, s, 0.5 * L + max(s, 0.0),
                              2.0 / T ** (1.0 / 3.0))
     scheme = _zeta_scheme(T, float(x[0]))
@@ -90,7 +90,7 @@ def build_nystrom_airy(s, m, L=10.0):
     passes well inside that range (see fredholm_det_airy).
     """
     if not np.isfinite(s) or abs(s) > 12.0:
-        raise DomainError("s must satisfy |s| <= 12")
+        raise DomainError(f"s = {s:.6g} is outside |s| <= 12")
     x, sw = _half_line_nodes(m, map_semi_infinite, s, L)
     ai, aip = _airy_cut(x), _airy_cut(x, prime=True)
     diff = x[:, None] - x[None, :]

@@ -11,9 +11,9 @@ by classical RK4, in closed form since the equation is linear in Phi once the
 scalar I(S) is known (derivation in solve_idpii).  The anti-derivative P, with
 dP/dS = S/(2T) + I(S)/T and P(S_max) = S_max^2/(4T), rides along as a scalar.
 
-The limiting edge kernel K_infinity is built from interpolated (Phi, dPhi/dS)
-layers, and diagnostics compare second S-derivatives of log-Fredholm
-determinants with the solver's I(S).
+The limiting edge kernel K_infinity at (s, t) reads the interpolated (Phi,
+dPhi/dS) layers at the (S, T) that limit_coordinates gives, and diagnostics
+compare second S-derivatives of log-Fredholm determinants with I(S).
 """
 
 import math
@@ -55,6 +55,14 @@ def _stage_integral(m, a0, a1, b0, b1):
     return (a0 * a0 * yy0 + 2.0 * a0 * a1 * yy1 + a1 * a1 * yy2
             + 2.0 * (a0 * b0 * yv0 + (a0 * b1 + a1 * b0) * yv1 + a1 * b1 * yv2)
             + b0 * b0 * vv0 + 2.0 * b0 * b1 * vv1 + b1 * b1 * vv2)
+
+
+def limit_coordinates(s, t):
+    """(S, T, sigma, T_L) = (s t^{-3/2}, t^{-3/2}, -s/t, t^3): the id-PII solution at
+    (S, T) belongs to the determinant L(sigma, T_L) = L(-S T^{-1/3}, T^{-2}) of the
+    fredholm module.  Each is taken from (s, t): T^{-2} is not t^3 to the bit."""
+    T = t ** -1.5
+    return s * T, T, -s / t, t ** 3
 
 
 def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
@@ -239,13 +247,12 @@ def k_infinity(sol, u, v, s, t_param):
     """Limiting edge kernel K_inf(u, v | s, t) from the stored solution.
 
     phi_1(z) = Phi(-s + t z | S, T), phi_2 = dPhi/dS at the same argument,
-    with T = t^{-3/2}, S = s T.  The confluent u = v case uses the
-    xi-derivative of the interpolant when |u - v| < 1e-6.
+    with (S, T) from limit_coordinates(s, t).  The confluent u = v case uses
+    the xi-derivative of the interpolant when |u - v| < 1e-6.
     """
-    T = t_param ** (-1.5)
+    S, T, _, _ = limit_coordinates(s, t_param)
     if abs(T - sol.T) > 1e-9 * max(1.0, T):
         raise DomainError("solution was built for a different T")
-    S = s * T
     xs = np.array([-s + t_param * u, -s + t_param * v])
     p1, p2 = interp_phi(sol, xs, S)
     if abs(u - v) < 1e-6:
@@ -257,9 +264,9 @@ def k_infinity(sol, u, v, s, t_param):
 def tw_local_check(sol, S, fredholm_values, spacing=0.05):
     """Residual of the local Tracy-Widom-type identity at abscissa S.
 
-    fredholm_values are log L(-(S+j*spacing) T^{-1/3}, T^{-2}) for
-    j = -2..2; the 5-point second central difference is compared with
-    -(1/T)(I(S) - S/2).
+    fredholm_values are log L(-(S+j*spacing) T^{-1/3}, T^{-2}), the (sigma, T_L)
+    of limit_coordinates, for j = -2..2; the 5-point second central
+    difference is compared with -(1/T)(I(S) - S/2).
     """
     f = np.asarray(fredholm_values, dtype=float)
     if f.shape != (5,):

@@ -139,7 +139,7 @@ class TestRunners:
 
     def test_theorem1_point_past_the_det_accuracy_fails(self, monkeypatch):
         # the target refuses |s| > 12 by itself; a stand-in lets the points run
-        monkeypatch.setattr(cli, "_theorem1_target", lambda eq, Q, cfg, s: -1.0)
+        monkeypatch.setattr(cli, "_theorem1_target", lambda cfg, s, t: -1.0)
         records = run_theorem1(LabConfig({"n_list": [16, 32], "s_list": [-30.0, 0.0]}))
         rows = {r.params: r for r in records if r.study == "theorem1"}
         for n in (16, 32):
@@ -170,7 +170,7 @@ class TestRunners:
         cfg = LabConfig({"idpii_h_xi": 0.25, "idpii_n_steps": 400})
         eq, Q, t_eff = cli._setup(cfg)
         s = cfg.s_list[0]
-        sol = cli._solve_idpii(cfg, t_eff ** -1.5, [s])
+        sol = cli._solve_idpii(cfg, t_eff, [s])
         us = np.linspace(-2.0, 2.0, 5)
         for u in us:
             for v in us:
@@ -390,6 +390,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and "'s_list'" in err
         assert not (tmp_path / f"{study}.csv").exists()
+
+    @pytest.mark.parametrize("data, names", [
+        # t = 1/2 on the default potential: s = 7 is sigma = -s/t = -14, past
+        # |sigma| <= 12; s = 0 runs first and still no file is written
+        ({"s_list": [0.0, 7.0], "n_list": [16]}, ["s = 7.0", "t = 0.5", "sigma = -14.0"]),
+        # t = 50/2 = 25: T_L = t^3 = 15625, past the 8000 of the Nystrom matrix
+        ({"s_list": [0.0], "n_list": [16], "deformation": [0.0, -50.0]},
+         ["s = 0.0", "t = 25.0", "T_L = 15625.0"]),
+    ], ids=["sigma", "T_L"])
+    def test_theorem1_target_outside_the_nystrom_domain_exit_two(self, tmp_path, capsys,
+                                                                   data, names):
+        cfg = write_config(tmp_path, data)
+        assert main(["theorem1", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and all(name in err for name in names)
+        assert not (tmp_path / "theorem1.csv").exists()
 
     def test_theorem1_one_n_exit_zero_without_summary(self, tmp_path):
         # a convergence summary needs two n, as in theorem2

@@ -108,10 +108,12 @@ class TestNystromOperator:
         assert abs(build_nystrom_airy(0.0, 60)[-1, -1]) < 1e-30
 
     def test_domain_guards(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="s = 20 "):
             build_nystrom(20.0, 1.0, 40)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="T = 9000 "):
             build_nystrom(0.0, 9000.0, 40)
+        with pytest.raises(DomainError, match="s = -13 "):
+            build_nystrom_airy(-13.0, 40)
         with pytest.raises(DomainError):
             build_nystrom(0.0, 1.0, 1)
 

@@ -6,7 +6,7 @@ import pytest
 from airylab.errors import BlowUpError, DomainError
 from airylab.fredholm import fredholm_det_ft
 from airylab.idpii import (interp_I, interp_P, interp_phi, k_infinity,
-                           solve_idpii, tw_local_check)
+                           limit_coordinates, solve_idpii, tw_local_check)
 from airylab.special import airy_ai, airy_ai_prime, fermi_weight
 
 import oracles
@@ -284,6 +284,28 @@ class TestLimitingKernel:
     def test_temperature_consistency_guard(self, sol):
         with pytest.raises(DomainError):
             k_infinity(sol, 0.0, 0.0, 1.0, 0.5)  # solution was built for T = 1
+
+    def test_equals_the_oracle_off_unit_temperature(self):
+        # t = 1/2, T = 2^{3/2}, s = 0.7: S = s T = 1.98, where the map is not
+        # the identity it is at t = 1; off the diagonal and confluent
+        sol_half = solve_idpii(2.0 ** 1.5)
+        for u, v in ((0.3, -0.5), (-0.5, 0.3), (0.2, 0.2)):
+            assert (k_infinity(sol_half, u, v, 0.7, 0.5)
+                    == oracles.k_infinity(sol_half, u, v, 0.7, 0.5))
+
+
+class TestLimitCoordinates:
+    # t = 0.7052... is t = -Q'(0)/c_V on the quartic x^2/2 + x^4/20 with Q = -x
+    @pytest.mark.parametrize("t", [0.5, 0.7052146216534435, 2.0])
+    def test_both_coordinate_systems_name_one_point(self, t):
+        # sigma = -S T^{-1/3} = -s/t and T_L = T^{-2} = t^3, to rounding
+        rounding = 4 * 2.0 ** -52
+        for s in (0.83, -1.7, 3.1):
+            S, T, sigma, T_L = limit_coordinates(s, t)
+            assert S * T ** (-1.0 / 3.0) == pytest.approx(s / t, rel=rounding)
+            assert T ** -2 == pytest.approx(t ** 3, rel=rounding)
+            assert sigma == pytest.approx(-S * T ** (-1.0 / 3.0), rel=rounding)
+            assert T_L == pytest.approx(T ** -2, rel=rounding)
 
 
 class TestTracyWidomChecks:
