@@ -30,7 +30,7 @@ from .ensemble import (DeformationQ, build_tables, kernel_trace,
 from .errors import DomainError
 from .fredholm import fredholm_det_ft
 from .idpii import interp_P, k_infinity, limit_coordinates, solve_idpii, tw_local_check
-from .special import f_beta_quad, f_k_closed
+from .special import f_beta_quad
 
 
 class ConfigError(Exception):
@@ -50,7 +50,6 @@ _DEFAULTS = {
     "idpii_s_max": 12.0,
     "idpii_h_xi": 0.04,
     "idpii_n_steps": 2800,
-    "out_dir": ".",
 }
 
 
@@ -110,8 +109,6 @@ class LabConfig:
             raise ConfigError("'fredholm_m' must be at least 2")
         if not merged["idpii_s_min"] < merged["idpii_s_max"]:
             raise ConfigError("'idpii_s_min' must be below 'idpii_s_max'")
-        if not isinstance(merged["out_dir"], str):
-            raise ConfigError("'out_dir' must be a string")
         for key, val in merged.items():
             setattr(self, key, val)
 
@@ -119,13 +116,8 @@ class LabConfig:
         return {k: getattr(self, k) for k in _DEFAULTS}
 
     def hash(self):
-        """SHA-256 of the canonical JSON form of the values; equal configs hash equally.
-
-        The output directory does not affect results and is excluded, so
-        reruns are byte-identical wherever they write.
-        """
-        d = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
-        canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the canonical JSON form of the values; equal configs hash equally."""
+        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -342,8 +334,9 @@ def run_theorem3(cfg):
 
 
 def run_crosschecks(cfg):
-    """Trace identity, Szego limit, polylog identities, Fredholm convergence,
-    and the local Tracy-Widom-type consistency check."""
+    """Trace identity, Szego limit, the Fermi-Dirac integral F_{-1/2}(0) that
+    the Szego limit reads, Fredholm convergence, and the local
+    Tracy-Widom-type consistency check."""
     records = []
     eq, Q, _ = _setup(cfg)
 
@@ -360,10 +353,13 @@ def run_crosschecks(cfg):
     records.append(ResultRecord("crosscheck-szego", (64,), ratio, {"q0": q0, "limit": q0_lim},
                                 "pass" if 0.85 <= ratio <= 1.15 else "fail"))
 
-    poly_err = max(abs(f_beta_quad(float(k), y) - f_k_closed(k, y))
-                   for k in (1, 2, 3) for y in (0.0, 0.5, 2.0, 5.0))
-    records.append(ResultRecord("crosscheck-polylog", (), poly_err, {},
-                                "pass" if poly_err <= 1e-10 else "fail"))
+    # the F_{-1/2}(0) that q0_limit reads above, against its closed form
+    # sqrt(pi) (1 - 2^{-1/2}) zeta(3/2), correctly rounded from 30 digits
+    fm12, fm12_exact = f_beta_quad(-0.5, 0.0), 1.356187790306202
+    poly_err = abs(fm12 - fm12_exact)
+    records.append(ResultRecord("crosscheck-polylog", (), poly_err,
+                                {"quad": fm12, "target": fm12_exact},
+                                "pass" if poly_err <= 1e-12 else "fail"))
 
     # the convergence table and the stencil share (s, T = 1, m) at s = 0 and
     # -1 when fredholm_m is 80; the stencil's -0.0 is the key 0.0, and the
@@ -433,14 +429,12 @@ def main(argv=None):
     for name in _STUDIES:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON configuration file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", default="csv", choices=["csv", "json"])
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config) if args.config else LabConfig({})
-        if args.out is not None:
-            cfg.out_dir = args.out
         records = _STUDIES[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -452,9 +446,9 @@ def main(argv=None):
     for r in records:
         r.config_hash = config_hash
 
-    out_path = os.path.join(cfg.out_dir, f"{args.command}.{args.format}")
+    out_path = os.path.join(args.out, f"{args.command}.{args.format}")
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         emit(records, args.format, out_path)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import PanelScheme, gauss_legendre, lu_logdet, map_log_linear, map_semi_infinite
-from .special import _airy_cut, logistic
+from .special import _DOMAIN, _airy_cut, logistic
 
 
 def _zeta_scheme(T, x_min):
@@ -63,6 +63,11 @@ def build_nystrom(s, T, m, L=10.0):
     slope a = L/2 + max(s, 0) carries the nodes at least to x = L/2, past the
     bulk on [-s, 0] where the kernel is O(1); at large T, where the
     logarithmic end is short, this is what keeps the Airy tail in the domain.
+
+    The domain is |s| <= 12 and 0 < T <= 8000, and T also large enough that
+    the lowest Airy argument x_0 + zeta_0, near -s - 45/T^{1/3} - 5, stays at
+    or above -200, the bottom of the Airy table: at m = 80, T >= about 0.0103
+    at s = -12, 0.0123 at s = 0 and 0.0149 at s = 12.
     """
     if not np.isfinite(s) or abs(s) > 12.0:
         raise DomainError(f"s = {s:.6g} is outside |s| <= 12")
@@ -72,6 +77,9 @@ def build_nystrom(s, T, m, L=10.0):
                              2.0 / T ** (1.0 / 3.0))
     scheme = _zeta_scheme(T, float(x[0]))
     z = scheme.nodes
+    if x[0] + z[0] < -_DOMAIN:
+        raise DomainError(f"T = {T:.6g} is too low at s = {s:.6g}: the kernel reads Ai at "
+                          f"{x[0] + z[0]:.6g}, below {-_DOMAIN}")
     B = sw[:, None] * _airy_cut(x[:, None] + z[None, :])
     B *= np.sqrt(scheme.weights * logistic(T ** (1.0 / 3.0) * z))
     return B @ B.T

@@ -7,16 +7,13 @@ anchor values are computed once, at import, in long double, from one
 asymptotic expansion and one Taylor march: the positive expansion where its
 remainder is below 1e-24, and a march down the line from there.  The
 polylog-type integrals F_beta(y) = int_0^inf v^beta log(1+e^{-y-v}) dv come
-in two independent routes (direct quadrature, for 2 beta + 1 a non-negative
-integer, and an accelerated alternating series, for integer beta >= 0 and
-y >= 0) so each can serve as the other's oracle.
+by direct quadrature, for 2 beta + 1 a non-negative integer; the polylog
+series for integer beta is their test oracle (tests/oracles.py).
 """
-
-import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .numerics import PanelScheme, integrate_panels
 
 # pi to more digits than long double carries
@@ -259,36 +256,3 @@ def f_beta_quad(beta, y):
 
     breaks = np.linspace(0.0, w_max, int(np.ceil(w_max / 0.2)) + 1)
     return integrate_panels(f, PanelScheme(breaks))
-
-
-def f_k_closed(k, y):
-    """F_k(y) for integer k >= 0 and y >= 0 via the polylog series.
-
-    F_k(y) = -k! Li_{k+2}(-e^{-y}) = k! sum_{m>=1} (-1)^{m+1} e^{-my} / m^{k+2}.
-    Adjacent terms are paired so that the partial sums converge absolutely;
-    the sum stops once a pair drops below 1e-17 relative to the head term.
-    """
-    if int(k) != k or k < 0:
-        raise DomainError("k must be a non-negative integer")
-    if y < 0:
-        raise DomainError("the series route needs y >= 0")
-    k = int(k)
-    s = k + 2
-    x = np.exp(-y)
-    fact = float(math.factorial(k))
-    total = 0.0
-    block = 4096
-    j0 = 1
-    head = x  # first term magnitude
-    for _ in range(200000):
-        j = np.arange(j0, j0 + block)
-        odd = 2 * j - 1
-        pairs = x ** odd / odd.astype(float) ** s - x ** (2 * j) / (2.0 * j) ** s
-        total += float(np.sum(pairs))
-        last = abs(pairs[-1])
-        j0 += block
-        if last < 1e-17 * max(head, 1e-300) or x ** (2 * j0) == 0.0:
-            break
-    else:
-        raise ConvergenceError("polylog series did not terminate")
-    return fact * total

@@ -29,6 +29,10 @@ require bitwise equality with these.
 Airy kernels: the pointwise classical kernel airy_kernel and the
 finite-temperature kernel ft_airy_kernel, which the tests compare entry by
 entry with the Nystrom matrices of airylab.fredholm.
+
+Fermi-Dirac integrals: f_k_closed sums the polylog series
+F_k(y) = -k! Li_{k+2}(-e^{-y}) for integer k >= 0 and y >= 0, a route
+independent of the panel quadrature of airylab.special.f_beta_quad.
 """
 
 import math
@@ -37,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from airylab.ensemble import DROP_TOL, EnsembleGrid, RecurrenceTable, _smallest_within
-from airylab.errors import DomainError
+from airylab.errors import ConvergenceError, DomainError
 from airylab.fredholm import _zeta_scheme
 from airylab.numerics import RULE16, PanelScheme, integrate_panels
 from airylab.special import _airy_cut, logistic
@@ -296,3 +300,36 @@ def k_infinity(sol, u, v, s, t_param):
         d2 = t_param * layer_read(sol, sol.dPhi, S, xs, deriv=True)
         return float(d1[0] * p2[0] - p1[0] * d2[0])
     return float((p1[0] * p2[1] - p1[1] * p2[0]) / (u - v))
+
+
+def f_k_closed(k, y):
+    """F_k(y) for integer k >= 0 and y >= 0 via the polylog series.
+
+    F_k(y) = -k! Li_{k+2}(-e^{-y}) = k! sum_{m>=1} (-1)^{m+1} e^{-my} / m^{k+2}.
+    Adjacent terms are paired so that the partial sums converge absolutely;
+    the sum stops once a pair drops below 1e-17 relative to the head term.
+    """
+    if int(k) != k or k < 0:
+        raise DomainError("k must be a non-negative integer")
+    if y < 0:
+        raise DomainError("the series route needs y >= 0")
+    k = int(k)
+    s = k + 2
+    x = np.exp(-y)
+    fact = float(math.factorial(k))
+    total = 0.0
+    block = 4096
+    j0 = 1
+    head = x  # first term magnitude
+    for _ in range(200000):
+        j = np.arange(j0, j0 + block)
+        odd = 2 * j - 1
+        pairs = x ** odd / odd.astype(float) ** s - x ** (2 * j) / (2.0 * j) ** s
+        total += float(np.sum(pairs))
+        last = abs(pairs[-1])
+        j0 += block
+        if last < 1e-17 * max(head, 1e-300) or x ** (2 * j0) == 0.0:
+            break
+    else:
+        raise ConvergenceError("polylog series did not terminate")
+    return fact * total

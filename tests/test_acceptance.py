@@ -23,9 +23,9 @@ from airylab.equilibrium import (Potential, build_equilibrium, q0_limit, solve_s
                                  szego_q0)
 from airylab.fredholm import fredholm_det_airy, fredholm_det_ft
 from airylab.idpii import interp_I, k_infinity, solve_idpii, tw_local_check
-from airylab.special import airy_ai, airy_ai_prime, f_beta_quad, f_k_closed
+from airylab.special import airy_ai, airy_ai_prime, f_beta_quad
 
-from oracles import el_residual
+from oracles import el_residual, f_k_closed
 
 
 def _trapezoid(y, x):

@@ -265,6 +265,17 @@ class TestCrosscheckDeterminants:
         assert {r.study for r in records} >= {"crosscheck-fredholm", "crosscheck-twlocal"}
 
 
+class TestCrosscheckPolylog:
+    def test_checks_the_value_the_szego_limit_reads(self):
+        # F_{-1/2}(0) = sqrt(pi) (1 - 2^{-1/2}) zeta(3/2), which q0_limit reads at s = 0
+        records = cli.run_crosschecks(LabConfig({}))
+        assert len(records) == 6
+        (row,) = [r for r in records if r.study == "crosscheck-polylog"]
+        assert row.params == () and row.verdict == "pass" and row.value <= 1e-12
+        assert row.aux["target"] == 1.356187790306202
+        assert row.value == abs(row.aux["quad"] - row.aux["target"])
+
+
 class TestMain:
     def test_eqmeasure_exit_zero(self, tmp_path):
         code = main(["eqmeasure", "--out", str(tmp_path)])
@@ -313,6 +324,11 @@ class TestMain:
             p.write_bytes('{"s_list": [0.5], "out_dir": "r\xe9sultats"}'.encode("latin-1"))
         assert main(["eqmeasure", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_out_dir_key_gone(self, tmp_path):
+        # the output directory is the --out flag alone
+        assert main(["eqmeasure", "--config", write_config(tmp_path, {"out_dir": "."}),
+                     "--out", str(tmp_path)]) == 2
 
     def test_workers_option_gone(self, tmp_path):
         # every study runs in one process; the key and the flag are unknown

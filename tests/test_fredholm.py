@@ -116,6 +116,10 @@ class TestNystromOperator:
             build_nystrom_airy(-13.0, 40)
         with pytest.raises(DomainError):
             build_nystrom(0.0, 1.0, 1)
+        # at s = 0, m = 80 the zeta grid reads Ai below -200 from T = 0.0123 down
+        assert 0.0 < fredholm_det_ft(0.0, 0.013, 80) <= 1.0
+        with pytest.raises(DomainError, match="T = 0.012 .* s = 0:"):
+            fredholm_det_ft(0.0, 0.012, 80)
 
 
 class TestNystromErrors:

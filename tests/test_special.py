@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airylab.errors import DomainError
-from airylab.special import (airy_ai, airy_ai_prime, f_beta_quad, f_k_closed,
+from airylab.special import (airy_ai, airy_ai_prime, f_beta_quad,
                              fermi_weight, log_logistic, logistic)
+
+from oracles import f_k_closed
 
 
 def _trapezoid(y, x):
