@@ -5,19 +5,20 @@ The central objects are the orthogonal polynomials for the weights
     undeformed:  e^{-n V(x)}
     deformed:    sigma_n(x) e^{-n V(x)},   sigma_n(x) = 1/(1 + e^{-s - n^{2/3} Q(x)})
 
-on a panelized quadrature grid.  The grid's core carries about
-2 (a + 1) n / (3 a) panels of 16 Gauss-Legendre nodes, so that a panel holds
-about three of the 2n zeros that the integrands Phat_j Phat_k e^{-nV}, j, k <= n,
-have on the support [-a, 0] (8,512 nodes at n = 512 on 2(1+x)^2); the grid
-still converges with half of them (build_grid).  Every sweep below is linear
-in the node count.  All recurrence data is kept in log scale, and
-polynomial values are only ever materialized multiplied by half-weights
-e^{log w / 2}, which keeps every intermediate quantity of order one.  The
-recurrences start from e^{-nV/2} on the nodes, so n is bounded by that start
-staying a normal float (>= e^{-708.4}) on the support: n max V / 2 <= 708.4
-there, which is n <= 708 for V = 2(1+x)^2 (V = 2 at both edges).  Beyond the
-bound build_tables raises BreakdownError rather than return tables that have
-lost nodes.
+on a panelized quadrature grid.  The grid ends on the Airy scale past each
+edge, where the weighted polynomials have died off by e^{-70}, and carries
+about 2 (a + d_L + d_R) n / (3 a) panels of 16 Gauss-Legendre nodes, so that a
+panel holds about three of the 2n zeros that the integrands
+Phat_j Phat_k e^{-nV}, j, k <= n, have on the support [-a, 0] (6,384 nodes at
+n = 512 on 2(1+x)^2); the grid still converges with half of them (build_grid).
+Every sweep below is linear in the node count.  All recurrence data is kept
+in log scale, and polynomial values are only ever materialized multiplied by
+half-weights e^{log w / 2}, which keeps every intermediate quantity of order
+one.  The recurrences start from e^{-nV/2} on the nodes, so n is bounded by
+that start staying a normal float (>= e^{-708.4}) on the support:
+n max V / 2 <= 708.4 there, which is n <= 708 for V = 2(1+x)^2 (V = 2 at both
+edges).  Beyond the bound build_tables raises BreakdownError rather than
+return tables that have lost nodes.
 
 The Stieltjes procedure sweeps the nodes in place, on four preallocated
 buffers.  One generator of the three-term recurrence yields the weighted
@@ -38,8 +39,8 @@ import math
 
 import numpy as np
 
-from .errors import BreakdownError, DomainError
-from .numerics import PanelScheme, RealPolynomial, lu_logdet
+from .errors import BreakdownError, ConvergenceError, DomainError
+from .numerics import RULE16, PanelScheme, RealPolynomial
 from .special import log_logistic
 
 
@@ -85,55 +86,48 @@ class EnsembleGrid:
         self.log_w_und = -float(n) * eq.V(self.nodes)
 
 
+# The grid ends where n phi = END_DECAY past each edge: the weighted
+# orthonormal polynomials there carry e^{-70} = 4e-31 of their peak.
+END_DECAY = 70.0
+
+
 def build_grid(eq, n):
     """Grid for the ensemble with potential eq.V at size n.
 
-    The window is n (V - min V) <= 400: its ends are the outermost real roots
-    of V - min V - 400 / n (a validated V has one on each side of its
-    minimizer), each moved out by 10% of its distance to the support where it
-    lies outside it.  The core [-a - 0.5, 0.5] carries
-    ceil(2 (a + 1) n / (3 a)) + 20 equal panels.  A side gets a tail of 20
-    geometrically graded panels up to its window end only where that end
-    lies more than one core panel past the core; an end closer than that
-    stretches the end panel to it.  So from n = 95 on 2(1+x)^2 the grid is
-    the core alone.
+    Past an edge the weighted orthonormal polynomials die off like e^{-n phi},
+    phi the effective potential, phi' = h(x) sqrt(x (x + a)) outward (Deift,
+    Kriecherbauer, McLaughlin, Venakides and Zhou, CPAM 52 (1999)).  The grid
+    [-a - d_L, d_R] ends where n phi = END_DECAY.  phi(d) is integrated in
+    w = sqrt(distance) on one 16-node panel, where it is smooth, and Newton
+    starts from the leading term (1.5 END_DECAY / (n h sqrt(a)))^{2/3}, that is
+    d = 14 / (c n^{2/3}) with c = c_V at the right edge and
+    2^{-2/3} h(-a)^{2/3} a^{1/3} at the left.
 
-    The core count follows from what a panel must integrate: Phat_k Phat_j
-    e^{-nV}, k, j <= n, has about 2n zeros on the support [-a, 0], so a core
-    panel of length (a + 1) / n_core holds about 2 (a + 1) n / (a n_core) of
-    them, and the count holds that to three per 16-node panel: ceil(n) + 20
-    panels on 2(1+x)^2 (a = 2), ceil(0.87 n) + 20 on x^2/2 + x^4/20
-    (a = 3.35), 2n + 20 on 32(1+x)^2 (a = 0.5).  The margin is a factor of
-    two: against a grid with every core panel split in three, on the three
-    potentials at n = 64 ... 512 and s in {-3, 0, 3}, this count and half of
-    it both move log det(I - M) by <= 1.3e-11 (1 + |log L|), the undeformed
-    log h_k by <= 2.1e-12 and alpha_k by <= 3.5e-14, all at the rounding
-    floor, while a quarter of it moves log h_k by 1.4e-8 to 4e-5
-    (tests/test_ensemble.py::TestGridConvergence).
+    The grid carries ceil(2 (a + d_L + d_R) n / (3 a)) + 20 equal panels,
+    sized by what a panel must integrate: Phat_k Phat_j e^{-nV}, k, j <= n,
+    has about 2n zeros on the support [-a, 0], and the count holds that to
+    about three per 16-node panel (6,384 nodes at n = 512 on 2(1+x)^2).  The
+    margin is a factor of two: this count and half of it stay at the rounding
+    floor against a grid with every panel split in three, while a quarter of
+    it does not (tests/test_ensemble.py::TestGridConvergence).
     """
     if n < 1:
         raise DomainError("n must be positive")
-    cap = float(np.min(eq.V(eq.V.dpoly.real_roots()))) + 400.0 / float(n)
-    ends = eq.V.poly.real_roots(cap)
-    # widen by 10% of the distance to the support
-    left_win = ends.min() - 0.1 * max(-eq.a - ends.min(), 0.0)
-    right_win = ends.max() + 0.1 * max(ends.max(), 0.0)
-    left_core, right_core = -eq.a - 0.5, 0.5
-    n_core = math.ceil(2.0 * (eq.a + 1.0) * n / (3.0 * eq.a)) + 20
-    bp = np.linspace(left_core, right_core, n_core + 1)
-    panel = bp[1] - bp[0]
-    # geometric tails: panel lengths grow by a fixed ratio away from the core
-    glen = np.cumsum(1.6 ** np.arange(20))
-    glen /= glen[-1]
-    if left_win < left_core - panel:
-        bp = np.concatenate((left_core - (left_core - left_win) * glen[::-1], bp))
+    a, h = eq.a, eq.h
+    edge, out = np.array([-a, 0.0]), np.array([-1.0, 1.0])
+    d = (1.5 * END_DECAY / (n * h(edge) * math.sqrt(a))) ** (2.0 / 3.0)
+    for _ in range(50):
+        w = np.sqrt(d)[:, None] * (0.5 + 0.5 * RULE16.nodes)
+        f = w * w * np.sqrt(w * w + a) * h(edge[:, None] + out[:, None] * w * w)
+        phi = np.sqrt(d) * (f @ RULE16.weights)
+        step = (n * phi - END_DECAY) / (n * h(edge + out * d) * np.sqrt(d * (d + a)))
+        d -= step
+        if np.all(np.abs(step) <= 1e-12 * d):
+            break
     else:
-        bp[0] = min(left_core, left_win)
-    if right_win > right_core + panel:
-        bp = np.concatenate((bp, right_core + (right_win - right_core) * glen))
-    else:
-        bp[-1] = max(right_core, right_win)
-    return EnsembleGrid(eq, n, PanelScheme(bp))
+        raise ConvergenceError(f"build_grid at n={n}: the grid ends did not converge")
+    panels = math.ceil(2.0 * (a + d.sum()) * n / (3.0 * a)) + 20
+    return EnsembleGrid(eq, n, PanelScheme(np.linspace(-a - d[0], d[1], panels + 1)))
 
 
 class RecurrenceTable:
@@ -156,7 +150,9 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
     the discrete measure sum_i w_i e^{log_weight_i} delta_{x_i}.  Polynomial
     values are carried as p_k(x_i) e^{log_weight_i/2} e^{-Lambda_k} with a
     running renormalization Lambda_k, so no intermediate ever overflows.  A
-    step writes into four node-length buffers and allocates nothing.
+    step writes into four node-length buffers: one product of A^2 with the
+    stacked (w, w x) gives norm^2 and sum w x A^2, and max |C| comes from
+    C.max() and C.min(), so nothing node-length is allocated.
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -165,7 +161,7 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
         raise DomainError("need 1 <= K <= number of nodes")
     alpha = np.empty(K)
     log_h = np.empty(K)
-    wx = w * x
+    W = np.stack((w, w * x))
     A = np.exp(0.5 * lw)  # p_0 = 1 at scale Lambda_0 = 0
     B = np.zeros_like(A)
     C = np.empty_like(A)
@@ -173,15 +169,12 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
     lam = 0.0
     lam_prev = 0.0
     for k in range(K):
-        np.multiply(w, A, out=T)
-        T *= A
-        norm2 = float(T.sum())
+        np.multiply(A, A, out=T)
+        norm2, first = (W @ T).tolist()
         if not (np.isfinite(norm2) and norm2 > 0):
             raise BreakdownError(f"recurrence lost positivity at k={k}")
         log_h[k] = math.log(norm2) + 2.0 * lam
-        np.multiply(wx, A, out=T)
-        T *= A
-        alpha[k] = float(T.sum()) / norm2
+        alpha[k] = first / norm2
         if k == K - 1:
             break
         np.subtract(x, alpha[k], out=C)
@@ -190,7 +183,7 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
             scale = math.exp(log_h[k] - log_h[k - 1] + lam_prev - lam)
             np.multiply(B, scale, out=T)
             C -= T
-        m = float(np.abs(C, out=T).max())
+        m = max(float(C.max()), -float(C.min()))
         if not (np.isfinite(m) and m > 0):
             raise BreakdownError(f"recurrence degenerated at k={k}")
         C /= m
@@ -340,10 +333,12 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes):
     dropped there form a positive semidefinite D with trace(D) <= dropped
     <= DROP_TOL, and with tau = dropped / (1 - lambda_max(M)) the log-det of
     the full-grid matrix differs from the one returned by at most
-    tau / (1 - tau), about 2e-19 / (1 - lambda_max(M)).  A spectral guard
-    (one eigvalsh) verifies M is inside [0, 1) to 1e-8 before the
-    determinant is taken; lambda_max(M) is also what the bound above needs.
+    tau / (1 - tau), about 2e-19 / (1 - lambda_max(M)).
 
+    One eigvalsh serves the guards and the value.  The spectrum must lie in
+    [0, 1) to 1e-8 and 1 - lambda_max must be positive; the log-det is then
+    sum_k log1p(-lambda_k), which keeps its relative accuracy in the upper
+    tail where M is small (LU resolves log det only to about 1e-16 absolute).
     Rounding M to float64 moves log(1 - lambda_max) by about
     2^-52 / (1 - lambda_max), relative to log L_n; where 1 - lambda_max is so
     small (deep in the lower tail, s <= -20 or so) that this exceeds DET_RTOL,
@@ -356,12 +351,14 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes):
     if ev[0] < -1e-8 or ev[-1] > 1.0 + 1e-8:
         raise BreakdownError(f"{where}, outside [0, 1)")
     gap = 1.0 - float(ev[-1])
-    loss = 2.0 ** -52 / gap if gap > 0.0 else 0.0  # gap <= 0: lu_logdet refuses the sign
+    if not gap > 0.0:
+        raise BreakdownError(f"{where}: det(I - M) is not positive")
+    loss = 2.0 ** -52 / gap
     if loss > DET_RTOL:
         raise BreakdownError(
             f"{where}: 1 - lambda_max = {gap:.3g}, so log det(I - M) keeps only about "
             f"{loss:.3g} relative accuracy, above {DET_RTOL:g}")
-    return lu_logdet(np.eye(n) - M, where)
+    return float(np.sum(np.log1p(-ev)))
 
 
 def rescaled_edge_kernel(eq, table_def, n, u, v):

@@ -3,9 +3,9 @@
 Equilibrium measures, recurrences and Fredholm determinants are built on the
 primitives in this module, so they are deliberately small, deterministic and
 heavily tested.  The half-line maps return the mapped nodes and their Jacobian
-together, (x, dx/du); lu_logdet is the one place a determinant's sign is
-tested.  The package's one RK4, the id-PII march, is written in closed form in
-idpii.solve_idpii.
+together, (x, dx/du); lu_logdet takes the Fredholm determinants and tests
+their sign.  The package's one RK4, the id-PII march, is written in closed
+form in idpii.solve_idpii.
 """
 
 import numpy as np
@@ -197,8 +197,10 @@ def map_log_linear(u, s, a, b):
 def lu_logdet(a, where):
     """log det of a square matrix via LU with partial pivoting.
 
-    The one place a determinant's sign is tested: a determinant that is not
-    positive raises BreakdownError, whose message begins with `where`.
+    A determinant that is not positive raises BreakdownError, whose message
+    begins with `where`.  The Fredholm determinants of airylab.fredholm come
+    through here; ensemble.log_lstat_det takes its log-det from the
+    eigenvalues its spectral guard computes.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

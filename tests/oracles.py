@@ -3,14 +3,18 @@
 Finite-n ensemble: the allocating loops of the recurrences (Stieltjes
 procedure, weighted orthonormal values, kernel trace, edge kernel) as straight
 array code.  The in-place and streamed forms in airylab.ensemble do the same
-arithmetic in the same order, so the tests require bitwise equality with
-these.  cd_kernel and log_partition are built on them and on the recurrence
-data alone.  deformation_matrix forms U on every node the drop rule leaves
-live, as one n x N slab, and M from its kept columns as one product: the
-blocked assembly in airylab.ensemble must keep the same nodes, drop the same
-trace and agree to rounding.  core_regrid rebuilds a production grid with
-another number of equal core panels and the same tails, for the
-self-convergence test of the grid size.
+arithmetic in the same order (the Stieltjes step takes norm^2 and
+sum w x A^2 from one product of A^2 with the stacked (w, w x) in both), so
+the tests require bitwise equality with these.  cd_kernel and log_partition
+are built on them and on the recurrence data alone.  deformation_matrix forms
+U on every node the drop rule leaves live, as one n x N slab, and M from its
+kept columns as one product: the blocked assembly in airylab.ensemble must
+keep the same nodes, drop the same trace and agree to rounding.  window_grid
+pads the support by 1/2 past each edge and by graded tails out to the
+weight window n (V - min V) <= 400, with no use of the effective potential:
+the grid of build_grid, which ends on the Airy scale, is held against it.
+core_regrid rebuilds a production grid with another number of equal panels
+between the same ends, for the self-convergence test of the grid size.
 
 Equilibrium edge data: the exterior phase phi_right, the conformal map
 conformal_psi and the Euler-Lagrange residual el_residual, which the tests
@@ -36,7 +40,6 @@ independent of the panel quadrature of airylab.special.f_beta_quad.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,9 +62,9 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
     lam = 0.0
     lam_prev = 0.0
     for k in range(K):
-        norm2 = float(np.sum(w * A * A))
+        norm2, first = (np.stack((w, w * x)) @ (A * A)).tolist()
         log_h[k] = math.log(norm2) + 2.0 * lam
-        alpha[k] = float(np.sum(w * x * A * A)) / norm2
+        alpha[k] = first / norm2
         if k == K - 1:
             break
         if k == 0:
@@ -114,28 +117,66 @@ def deformation_matrix(grid, table_und, n, log_sigma_nodes):
     return V @ V.T, dropped + dropped_c, live[~small]
 
 
-def core_regrid(eq, n, grid, scale):
-    """The grid with int(scale * c) equal panels on its core in place of its c.
+def window_grid(eq, n):
+    """Grid for the ensemble with potential eq.V at size n, out to its weight window.
 
-    Each panel's ends follow from its nodes: the nodes of the rule are
-    symmetric, so the panel's midpoint is that of its outer nodes, and its half
-    length their distance over that of the rule's outer nodes.  The core
-    panels are those whose midpoint lies in [-a - 0.5, 0.5]; the tail nodes
-    and weights are kept as they are.  scale = 3 splits every core panel in
-    three.
+    The window is n (V - min V) <= 400: its ends are the outermost real roots
+    of V - min V - 400 / n (a validated V has one on each side of its
+    minimizer), each moved out by 10% of its distance to the support where it
+    lies outside it.  The core [-a - 0.5, 0.5] carries
+    ceil(2 (a + 1) n / (3 a)) + 20 equal panels.  A side gets a tail of 20
+    geometrically graded panels up to its window end only where that end
+    lies more than one core panel past the core; an end closer than that
+    stretches the end panel to it.  So from n = 95 on 2(1+x)^2 the grid is
+    the core alone.
+
+    The core count follows from what a panel must integrate: Phat_k Phat_j
+    e^{-nV}, k, j <= n, has about 2n zeros on the support [-a, 0], so a core
+    panel of length (a + 1) / n_core holds about 2 (a + 1) n / (a n_core) of
+    them, and the count holds that to three per 16-node panel: ceil(n) + 20
+    panels on 2(1+x)^2 (a = 2), ceil(0.87 n) + 20 on x^2/2 + x^4/20
+    (a = 3.35), 2n + 20 on 32(1+x)^2 (a = 0.5).
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    cap = float(np.min(eq.V(eq.V.dpoly.real_roots()))) + 400.0 / float(n)
+    ends = eq.V.poly.real_roots(cap)
+    # widen by 10% of the distance to the support
+    left_win = ends.min() - 0.1 * max(-eq.a - ends.min(), 0.0)
+    right_win = ends.max() + 0.1 * max(ends.max(), 0.0)
+    left_core, right_core = -eq.a - 0.5, 0.5
+    n_core = math.ceil(2.0 * (eq.a + 1.0) * n / (3.0 * eq.a)) + 20
+    bp = np.linspace(left_core, right_core, n_core + 1)
+    panel = bp[1] - bp[0]
+    # geometric tails: panel lengths grow by a fixed ratio away from the core
+    glen = np.cumsum(1.6 ** np.arange(20))
+    glen /= glen[-1]
+    if left_win < left_core - panel:
+        bp = np.concatenate((left_core - (left_core - left_win) * glen[::-1], bp))
+    else:
+        bp[0] = min(left_core, left_win)
+    if right_win > right_core + panel:
+        bp = np.concatenate((bp, right_core + (right_win - right_core) * glen))
+    else:
+        bp[-1] = max(right_core, right_win)
+    return EnsembleGrid(eq, n, PanelScheme(bp))
+
+
+def core_regrid(eq, n, grid, scale):
+    """The grid with int(scale * c) equal panels between its ends in place of its c.
+
+    The ends follow from the outer nodes: the nodes of the rule are symmetric,
+    so a panel's midpoint is that of its outer nodes, and its half length
+    their distance over that of the rule's outer nodes.  scale = 3 splits
+    every panel in three.
     """
     m = RULE16.size
-    x = grid.nodes.reshape(-1, m)
+    x = grid.nodes.reshape(-1, m)[[0, -1]]
     mid = 0.5 * (x[:, 0] + x[:, -1])
     half = (x[:, -1] - x[:, 0]) / (RULE16.nodes[-1] - RULE16.nodes[0])
-    core = np.flatnonzero((mid > -eq.a - 0.5) & (mid < 0.5))
-    lo, hi = core[0], core[-1]
-    panels = int(scale * core.size)
-    new = PanelScheme(np.linspace(mid[lo] - half[lo], mid[hi] + half[hi], panels + 1))
-    left, right = slice(None, lo * m), slice((hi + 1) * m, None)
-    return EnsembleGrid(eq, n, SimpleNamespace(
-        nodes=np.concatenate((grid.nodes[left], new.nodes, grid.nodes[right])),
-        weights=np.concatenate((grid.weights[left], new.weights, grid.weights[right]))))
+    lo, hi = mid[0] - half[0], mid[1] + half[1]
+    panels = int(scale * (grid.nodes.size // m))
+    return EnsembleGrid(eq, n, PanelScheme(np.linspace(lo, hi, panels + 1)))
 
 
 def rescaled_edge_kernel(eq, table_def, n, u, v):

@@ -1,6 +1,7 @@
 """Tests for the deformed orthogonal-polynomial ensembles."""
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -36,13 +37,35 @@ def eq_narrow():
 
 
 @pytest.fixture(scope="module")
+def eq_asymmetric():
+    # a one-cut quartic whose edges differ: c_L = 1.173, c_V = 1.582
+    return build_equilibrium(Potential([0.0, 0.0, 0.5, 0.15, 0.05]))
+
+
+@pytest.fixture(scope="module")
 def q_linear():
     return DeformationQ([0.0, -1.0])
 
 
 @pytest.fixture(scope="module")
-def eqs(eq_sgue, eq_quartic, eq_narrow):
-    return {"gaussian": eq_sgue, "quartic": eq_quartic, "narrow": eq_narrow}
+def eqs(eq_sgue, eq_quartic, eq_narrow, eq_asymmetric):
+    return {"gaussian": eq_sgue, "quartic": eq_quartic, "narrow": eq_narrow,
+            "asymmetric": eq_asymmetric}
+
+
+def grid_ends(grid):
+    """The outer ends of a grid's first and last panels; a 16-node panel's
+    weights sum to its length and its nodes are symmetric about its midpoint."""
+    first, last = grid.nodes[:16], grid.nodes[-16:]
+    return (first.mean() - 0.5 * grid.weights[:16].sum(),
+            last.mean() + 0.5 * grid.weights[-16:].sum())
+
+
+def mirrored(eq):
+    """The equilibrium data of V(-x): its right edge is the left edge of eq, so
+    oracles.phi_right of it is the phase past the left edge of eq."""
+    c = eq.V.poly.coeffs
+    return build_equilibrium(Potential(c * (-1.0) ** np.arange(c.size)))
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +175,21 @@ class TestLinearStatistic:
         grid, t_und, t_def, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
         diff = oracles.log_partition(t_def, n) - oracles.log_partition(t_und, n)
         assert diff == pytest.approx(log_lstat_gamma(t_def, t_und, n), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_upper_tail_matches_trace_series(self, eq_sgue, q_linear, n):
+        # s = 18.4: log L = -8e-9, so M is tiny.  log det(I - M) = -sum_k tr(M^k) / k
+        # from matrix powers; the eigenvalues keep about 2e-16 of it, LU keeps
+        # only about 1e-16 absolute (2e-8 relative here)
+        grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 18.4)
+        M, _ = deformation_matrix(grid, t_und, n, lsig)
+        series, power = 0.0, M
+        for k in range(1, 6):
+            series -= np.trace(power) / k
+            power = power @ M
+        value = log_lstat_det(grid, t_und, n, lsig)
+        assert -1e-8 < series < -5e-9
+        assert abs(value - series) <= 1e-12 * abs(series)
 
     def test_s_derivative_of_log_partition(self, eq_sgue, q_linear):
         # d/ds log Z_n(s) = int K_n(x,x|s) (d/ds log sigma) omega_n dx
@@ -321,46 +359,37 @@ class TestRecurrenceRange:
 
 
 class TestGridShape:
-    """The grid is the core [-a - 0.5, 0.5] alone where the widened weight
-    window lies inside it, and the core plus a 20-panel tail on each side
-    where the window passes it on both; no panel is a sliver."""
+    """The grid is one run of equal panels over the support [-a, 0] (the core)
+    and a tail past each edge that ends where n phi = 70, phi the effective
+    potential (2 n oracles.phi_right); no tail is graded and no panel is a
+    sliver."""
 
-    # (potential, n) whose window n (V - min V) <= 400, widened, passes the
-    # core on both sides; at the other n of the grid below it lies inside
-    TAILED = {("gaussian", 16), ("gaussian", 64), ("quartic", 16), ("quartic", 64),
-              ("narrow", 16)}
-
-    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow"])
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow", "asymmetric"])
     @pytest.mark.parametrize("n", [16, 64, 128, 512])
     def test_tails_only_past_the_core(self, eqs, potential, n):
         eq = eqs[potential]
         grid = build_grid(eq, n)
-        core = 16 * (int(np.ceil(2.0 * (eq.a + 1.0) * n / (3.0 * eq.a))) + 20)
-        inside = (grid.nodes >= -eq.a - 0.5) & (grid.nodes <= 0.5)
-        if (potential, n) in self.TAILED:
-            assert grid.nodes.size == core + 2 * 20 * 16
-            assert np.count_nonzero(inside) == core
-            assert grid.nodes[0] < -eq.a - 0.5 and grid.nodes[-1] > 0.5
-        else:
-            assert grid.nodes.size == core and inside.all()
+        lo, hi = grid_ends(grid)
+        d_left, d_right = -eq.a - lo, hi
+        assert d_left > 0 and d_right > 0
+        assert 2 * n * oracles.phi_right(eq, d_right) == pytest.approx(70.0, abs=1e-9)
+        assert 2 * n * oracles.phi_right(mirrored(eq), d_left) == pytest.approx(70.0, abs=1e-9)
+        lengths = grid.weights.reshape(-1, 16).sum(axis=1)
+        assert lengths.size == math.ceil(2 * (eq.a + d_left + d_right) * n / (3 * eq.a)) + 20
+        assert np.ptp(lengths) <= 1e-12 * lengths[0]
 
     @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow"])
     def test_every_tail_longer_than_a_core_panel(self, eqs, potential):
-        # the sweep passes every n where a tail disappears (n = 95, 122 and
-        # 26) and the band just below it, where a window end less than one
-        # core panel past the core stretches the end panel instead of getting
-        # 20 graded slivers
+        # over n = 16 ... 704 the panels are equal, each tail is longer than a
+        # panel, and the grid never has more nodes than the weight-window grid
         eq = eqs[potential]
         for n in range(16, 705):
             grid = build_grid(eq, n)
-            n_core = int(np.ceil(2.0 * (eq.a + 1.0) * n / (3.0 * eq.a))) + 20
+            lo, hi = grid_ends(grid)
             lengths = grid.weights.reshape(-1, 16).sum(axis=1)
-            mids = grid.nodes.reshape(-1, 16).mean(axis=1)
-            tails = (lengths[mids < -eq.a - 0.5], lengths[mids > 0.5])
-            assert lengths.size == n_core + sum(tail.size for tail in tails)
-            for tail in tails:
-                assert tail.size in (0, 20)
-                assert tail.size == 0 or tail.sum() > (eq.a + 1.0) / n_core
+            assert np.ptp(lengths) <= 1e-12 * lengths[0]
+            assert min(-eq.a - lo, hi) > lengths[0]
+            assert grid.nodes.size <= oracles.window_grid(eq, n).nodes.size
 
     @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow"])
     @pytest.mark.parametrize("n", [16, 64, 128, 512])
@@ -370,9 +399,46 @@ class TestGridShape:
         assert lengths.min() > 1e-6
 
 
+class TestWindowGridAgreement:
+    """The grid ending at n phi = 70 against the weight-window grid
+    (oracles.window_grid), which pads each edge by 1/2 and by graded tails out
+    to n (V - min V) <= 400, at s in {-3, 0, 3}.  Worst moves over these cases:
+    log h_k 4.5e-12, alpha_k 1.2e-13, log det(I - M) 1.2e-11 (1 + |log L|),
+    log_lstat_gamma 7e-10, the trace 7.6e-13 n and the edge kernel 1.1e-11.
+    At n = 704 the window grid and its 3x split already differ by 5.4e-9 in
+    log h_n on 32(1+x)^2, so n stays at or below 512."""
+
+    EDGE_PAIRS = ((-2.0, 1.5), (0.3, 0.3), (1.0, 1.0), (-1.0, 0.5), (2.0, 2.0))
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow", "asymmetric"])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    def test_matches_window_grid(self, eqs, q_linear, potential, n):
+        eq = eqs[potential]
+        grid, ref = build_grid(eq, n), oracles.window_grid(eq, n)
+        assert grid.nodes.size < ref.nodes.size
+        und = [stieltjes_recurrence(g.nodes, g.weights, g.log_w_und, n + 1) for g in (grid, ref)]
+        assert abs(kernel_trace(grid, und[0], n, grid.log_w_und) - n) <= 1e-10 * n
+        for s in (-3.0, 0.0, 3.0):
+            lsig = [log_sigma(q_linear, n, s, g.nodes) for g in (grid, ref)]
+            dfm = [stieltjes_recurrence(g.nodes, g.weights, g.log_w_und + ls, n + 1)
+                   for g, ls in zip((grid, ref), lsig)]
+            for new, old in ((und[0], und[1]), (dfm[0], dfm[1])):
+                assert np.max(np.abs(new.log_h - old.log_h)) <= 1e-11
+                assert np.max(np.abs(new.alpha - old.alpha)) <= 1e-12
+            det, det_ref = (log_lstat_det(g, t, n, ls) for g, t, ls in zip((grid, ref), und, lsig))
+            assert abs(det - det_ref) <= 5e-11 * (1.0 + abs(det_ref))
+            gamma = log_lstat_gamma(dfm[0], und[0], n)
+            assert abs(gamma - log_lstat_gamma(dfm[1], und[1], n)) <= 2e-9
+            assert abs(kernel_trace(grid, dfm[0], n, grid.log_w_und + lsig[0]) - n) <= 1e-10 * n
+            for u, v in self.EDGE_PAIRS:
+                k, k_ref = (rescaled_edge_kernel(eq, t, n, u, v) for t in dfm)
+                assert abs(k - k_ref) <= 1e-10 * abs(k_ref)
+
+
 class TestGridConvergence:
-    """build_grid's core panel count, and half of it, against a grid with every
-    core panel split in three; a quarter of it must fail.
+    """build_grid's panel count, and half of it, against a grid with every
+    panel split in three, between the same ends; a quarter of it must fail
+    (it moves log h_k by 1.4e-8 to 3.1e-5).
 
     Bounds: log det(I - M) within 2e-11 (1 + |log L|) at s in {-3, 0, 3} (its
     rounding floor grows with |log L|: on 2(1+x)^2 at n = 512, s = -3, it
@@ -488,8 +554,12 @@ class TestEdgeQuantities:
         for u in (-1.0, 0.0, 1.0):
             assert rescaled_edge_kernel(eq_sgue, t_def, n, u, u) > 0
 
-    def test_grid_covers_weight_window(self, eq_sgue):
-        grid = build_grid(eq_sgue, 16)
-        # weight at the ends of the window is negligible
-        assert np.max(grid.log_w_und) - grid.log_w_und[0] > 300
-        assert np.max(grid.log_w_und) - grid.log_w_und[-1] > 300
+    def test_grid_covers_weight_window(self, eqs):
+        # every node of the weight-window grid that lies past an end of the grid
+        # has n phi >= 70 there
+        for eq in eqs.values():
+            for n in (16, 64, 512):
+                lo, hi = grid_ends(build_grid(eq, n))
+                ref = oracles.window_grid(eq, n).nodes
+                for phase_eq, past in ((eq, ref[ref > hi]), (mirrored(eq), -eq.a - ref[ref < lo])):
+                    assert all(2 * n * oracles.phi_right(phase_eq, d) >= 70.0 for d in past)
