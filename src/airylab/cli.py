@@ -45,7 +45,6 @@ _DEFAULTS = {
     "s_list": [0.0, 1.0],
     "t_param": 1.0,
     "fredholm_m": 80,
-    "fredholm_L": 10.0,
     "idpii_s_min": -2.0,
     "idpii_s_max": 12.0,
     "idpii_h_xi": 0.04,
@@ -95,14 +94,14 @@ class LabConfig:
                 model(merged[key])
             except DomainError as exc:
                 raise ConfigError(f"'{key}' is refused: {exc}") from exc
-        for key in ("t_param", "fredholm_L", "idpii_s_min", "idpii_s_max", "idpii_h_xi"):
+        for key in ("t_param", "idpii_s_min", "idpii_s_max", "idpii_h_xi"):
             if not _is_number(merged[key]):
                 raise ConfigError(f"'{key}' must be a finite number")
             merged[key] = float(merged[key])
         for key in ("fredholm_m", "idpii_n_steps"):
             if not _is_count(merged[key]):
                 raise ConfigError(f"'{key}' must be a positive integer")
-        for key in ("t_param", "fredholm_L", "idpii_h_xi"):
+        for key in ("t_param", "idpii_h_xi"):
             if not merged[key] > 0:
                 raise ConfigError(f"'{key}' must be positive")
         if merged["fredholm_m"] < 2:
@@ -215,10 +214,18 @@ def _sweep(study, s, n_list, limit, point, bound):
     return records
 
 
+def _deformation(cfg, key, eq):
+    """The deformation under key, its sign condition checked over the support [-a, 0] too."""
+    try:
+        return DeformationQ(getattr(cfg, key), eq.a)
+    except DomainError as exc:
+        raise ConfigError(f"'{key}' is refused over the support [{-eq.a:.6g}, 0]: {exc}") from exc
+
+
 def _setup(cfg):
     """Equilibrium, deformation Q and effective t = -Q'(0) / c_V of a configuration."""
     eq = build_equilibrium(Potential(cfg.potential))
-    Q = DeformationQ(cfg.deformation)
+    Q = _deformation(cfg, "deformation", eq)
     return eq, Q, Q.t / eq.c_v
 
 
@@ -241,7 +248,7 @@ def _solve_idpii(cfg, t, s_read):
 def _limit_det(cfg, sigma, T_L, where):
     """L(sigma, T_L); a point outside the Nystrom domain is a configuration error of where."""
     try:
-        return fredholm_det_ft(sigma, T_L, cfg.fredholm_m, cfg.fredholm_L)
+        return fredholm_det_ft(sigma, T_L, cfg.fredholm_m)
     except DomainError as exc:
         raise ConfigError(f"{where} reads L(sigma = {sigma}, T_L = {T_L}): {exc}") from exc
 
@@ -290,7 +297,7 @@ def run_theorem2(cfg):
 def run_theorem3(cfg):
     """Norming-constant corrections c_n = n^{1/3}(1/2 - rho_n) and Q-universality."""
     eq, Q1, t_eff = _setup(cfg)
-    Q2 = DeformationQ(cfg.deformation2)
+    Q2 = _deformation(cfg, "deformation2", eq)
     if abs(Q1.t - Q2.t) > 1e-12:
         raise ConfigError("the two deformations must share t = -Q'(0)")
     # only the s-differences read the solution, and one s has none
@@ -366,7 +373,7 @@ def run_crosschecks(cfg):
     # determinant there is the same to the bit
     @functools.cache
     def det(s, T, m):
-        return fredholm_det_ft(s, T, m, cfg.fredholm_L)
+        return fredholm_det_ft(s, T, m)
 
     conv = max(abs(det(s, T, 40) - det(s, T, 80))
                for s in (-1.0, 0.0, 1.0) for T in (0.125, 1.0, 8.0))

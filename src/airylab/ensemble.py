@@ -23,11 +23,12 @@ return tables that have lost nodes.
 The Stieltjes procedure sweeps the nodes in place, on four preallocated
 buffers.  One generator of the three-term recurrence yields the weighted
 orthonormal values row by row: weighted_values stacks them into a matrix,
-kernel_trace and the deformation matrix's node selection sum their squares as
-they come and hold no n x N matrix, and the edge kernel runs the same
-recurrence on its two points as plain floats.  The deformation matrix itself
-is accumulated over node blocks of about BLOCK_ENTRIES values, so its peak
-memory is O(n * block + n^2) however many nodes the grid has.
+kernel_trace sums their squares as they come and holds no n x N matrix, and
+the edge kernel runs the same recurrence on its two points as plain floats.
+The deformation matrix keeps the nodes where a bound on the trace they carry,
+n (1 - sigma_n), is not negligible, and runs the recurrence once over them
+through weighted_values, in node blocks of about BLOCK_ENTRIES values, so its
+peak memory is O(n * block + n^2) however many nodes the grid has.
 
 Two independent routes to the multiplicative linear statistic
 L_n = E prod sigma_n(lambda_j) are provided: a ratio of norming constants
@@ -48,21 +49,25 @@ class DeformationQ:
     """Polynomial deformation Q with Q(0) = 0, t = -Q'(0) > 0 and one sign change.
 
     The sign condition (Q > 0 left of the origin, Q < 0 right of it) is checked
-    on 201 points of [-6, 6].
+    on [min(-6, -a), 6] at points 0.06 apart (201 points on [-6, 6]), a the
+    width of the support [-a, 0], over which the finite-n side reads Q.
     """
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, a=0.0):
         p = RealPolynomial(coeffs)
         if p(0.0) != 0.0:
             raise DomainError("deformation must vanish at the origin")
         t = -p.derivative()(0.0)
         if not t > 0:
             raise DomainError("deformation must have -Q'(0) > 0")
-        xs = np.linspace(-6.0, 6.0, 201)
+        lo = min(-6.0, -float(a))
+        xs = np.linspace(lo, 6.0, 201 + math.ceil((-6.0 - lo) / 0.06))
         vals = p(xs)
-        bad = (xs < 0) & (vals <= 0) | (xs > 0) & (vals >= 0)
-        if np.any(bad):
-            raise DomainError("deformation violates the sign condition on [-6, 6]")
+        bad = np.flatnonzero((xs < 0) & (vals <= 0) | (xs > 0) & (vals >= 0))
+        if bad.size:
+            i = bad[np.argmin(np.abs(xs[bad]))]  # the failing point nearest the origin
+            raise DomainError(f"deformation violates the sign condition on [{lo:.6g}, 6] "
+                              f"at x = {xs[i]:.6g}, where Q = {vals[i]:.6g}")
         self.poly = p
         self.t = float(t)
 
@@ -233,18 +238,15 @@ def weighted_values(table, n, x, log_w_half):
     return U
 
 
-def _kernel_diagonal(table, n, x, log_w_half):
-    """sum_k U_ki^2 = K_n(x_i, x_i) e^{2 log_w_half_i}, summed row by row as the
-    recurrence yields U, so no n x N matrix is formed."""
-    diag = np.zeros(x.size)
-    for u in _rows(table, n, x, log_w_half):
-        diag += u * u
-    return diag
-
-
 def kernel_trace(grid, table, n, log_weight):
-    """int K_n(x,x) w(x) dx over the grid; equals n for a consistent table."""
-    diag = _kernel_diagonal(table, n, grid.nodes, 0.5 * np.asarray(log_weight))
+    """int K_n(x,x) w(x) dx over the grid; equals n for a consistent table.
+
+    K_n(x_i, x_i) w_i = sum_k U_ki^2 is summed row by row as the recurrence
+    yields U, so no n x N matrix is formed.
+    """
+    diag = np.zeros(grid.nodes.size)
+    for u in _rows(table, n, grid.nodes, 0.5 * np.asarray(log_weight)):
+        diag += u * u
     return float(np.sum(grid.weights * diag))
 
 
@@ -274,62 +276,49 @@ BLOCK_ENTRIES = 2 ** 20
 DET_RTOL = 1e-8
 
 
-def _smallest_within(c, budget):
-    """Mask of the smallest entries of c whose running sum stays <= budget, and that sum."""
-    order = np.argsort(c)
-    run = np.cumsum(c[order])
-    k = int(np.searchsorted(run, budget, side="right"))
-    mask = np.zeros(c.size, dtype=bool)
-    mask[order[:k]] = True
-    return mask, float(run[k - 1]) if k else 0.0
-
-
 def deformation_matrix(grid, table_und, n, log_sigma_nodes):
     """M_jk = int Phat_j Phat_k (1 - sigma_n) e^{-nV} dx from the nodes that carry it.
 
     Node i adds the rank-one term w_i (1 - sigma_i) U[:, i] U[:, i]^T, whose
-    trace is c_i = w_i (1 - sigma_i) sum_k U_ki^2.  Left of the right edge
-    1 - sigma_n dies off within about n^{-2/3}, right of it e^{-nV} does, so
-    most c_i are negligible.  The smallest c_i are dropped while their running
-    sum stays <= DROP_TOL; orthonormality on the grid gives w_i U_ki^2 <= 1,
-    so c_i <= n (1 - sigma_i), and half of DROP_TOL goes first to nodes this
-    bound alone rules out, before the recurrence runs on them.
+    trace is at most n (1 - sigma_i), since orthonormality on the grid gives
+    w_i U_ki^2 <= 1.  Left of the right edge 1 - sigma_n dies off within about
+    n^{-2/3}, so for most nodes that bound is negligible.  A node is kept where
+    n (1 - sigma_i) > DROP_TOL / N, N the grid size, so the dropped bounds sum
+    to at most DROP_TOL (a drop rule by a bound on the left-out trace, as in
+    Bornemann, Math. Comp. 79 (2010)).
 
-    Two sweeps of the recurrence over the remaining nodes hold no n x N
-    matrix.  The first sums sum_k U_ki^2 row by row and fixes the kept nodes.
-    The second forms V = U sqrt(w (1 - sigma)) on the kept nodes, one block of
-    BLOCK_ENTRIES // n nodes at a time, and accumulates M += V V^T (BLAS SYRK:
-    half the flops of a general product, exactly symmetric).  The peak is one
-    n x block slab plus M and one product, O(n * block + n^2).
+    One sweep of the recurrence over the kept nodes forms V = U sqrt(w (1 - sigma))
+    one block of BLOCK_ENTRIES // n nodes at a time, and accumulates M += V V^T
+    (BLAS SYRK: half the flops of a general product, exactly symmetric).  The
+    peak is one n x block slab plus M and one product, O(n * block + n^2).
 
-    Returns M and `dropped`, an upper bound on the trace of the positive
-    semidefinite part D left out, so that M + D is the full-grid matrix.
+    Returns M and `dropped`, the sum of n (1 - sigma_i) over the dropped nodes:
+    an upper bound on the trace of the positive semidefinite part D left out,
+    so that M + D is the full-grid matrix.
     """
     one_minus_sigma = -np.expm1(np.asarray(log_sigma_nodes, dtype=float))
-    ruled_out, dropped = _smallest_within(n * one_minus_sigma, 0.5 * DROP_TOL)
-    live = np.flatnonzero(~ruled_out)
-    wd = grid.weights[live] * one_minus_sigma[live]
-    x, lwh = grid.nodes[live], 0.5 * grid.log_w_und[live]
-    small, dropped_c = _smallest_within(wd * _kernel_diagonal(table_und, n, x, lwh),
-                                        DROP_TOL - dropped)
-    kept = np.flatnonzero(~small)
+    bound = n * one_minus_sigma
+    keep = bound > DROP_TOL / bound.size
+    dropped = float(np.sum(bound[~keep]))
+    wd = grid.weights[keep] * one_minus_sigma[keep]
+    x, lwh = grid.nodes[keep], 0.5 * grid.log_w_und[keep]
     block = max(1, BLOCK_ENTRIES // n)
     M = np.zeros((n, n))
-    for j in range(0, kept.size, block):
-        k = kept[j:j + block]
+    for j in range(0, x.size, block):
+        k = slice(j, j + block)
         V = weighted_values(table_und, n, x[k], lwh[k])
         V *= np.sqrt(wd[k])
         M += V @ V.T
         del V  # so that the next block's slab does not coexist with this one
-    return M, dropped + dropped_c
+    return M, dropped
 
 
 def log_lstat_det(grid, table_und, n, log_sigma_nodes):
     """log L_n as log det(I - M), M the deformation matrix in the undeformed basis.
 
     M_jk = int Phat_j Phat_k (1 - sigma_n) e^{-nV} dx, assembled by
-    deformation_matrix from the grid nodes whose contribution is not
-    negligible; 1 - sigma is evaluated stably from log sigma.  The nodes
+    deformation_matrix from the grid nodes where n (1 - sigma_n) exceeds
+    DROP_TOL / N; 1 - sigma is evaluated stably from log sigma.  The nodes
     dropped there form a positive semidefinite D with trace(D) <= dropped
     <= DROP_TOL, and with tau = dropped / (1 - lambda_max(M)) the log-det of
     the full-grid matrix differs from the one returned by at most

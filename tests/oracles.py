@@ -7,12 +7,12 @@ arithmetic in the same order (the Stieltjes step takes norm^2 and
 sum w x A^2 from one product of A^2 with the stacked (w, w x) in both), so
 the tests require bitwise equality with these.  cd_kernel and log_partition
 are built on them and on the recurrence data alone.  deformation_matrix forms
-U on every node the drop rule leaves live, as one n x N slab, and M from its
-kept columns as one product: the blocked assembly in airylab.ensemble must
-keep the same nodes, drop the same trace and agree to rounding.  window_grid
-pads the support by 1/2 past each edge and by graded tails out to the
-weight window n (V - min V) <= 400, with no use of the effective potential:
-the grid of build_grid, which ends on the Airy scale, is held against it.
+U on every node the drop rule keeps, as one slab, and M as one product: the
+blocked assembly in airylab.ensemble must keep the same nodes, drop the same
+trace and agree to rounding.  window_grid pads the support by 1/2 past each
+edge and by graded tails out to the weight window n (V - min V) <= 400, with
+no use of the effective potential: the grid of build_grid, which ends on the
+Airy scale, is held against it.
 core_regrid rebuilds a production grid with another number of equal panels
 between the same ends, for the self-convergence test of the grid size.
 
@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from airylab.ensemble import DROP_TOL, EnsembleGrid, RecurrenceTable, _smallest_within
+from airylab.ensemble import DROP_TOL, EnsembleGrid, RecurrenceTable
 from airylab.errors import ConvergenceError, DomainError
 from airylab.fredholm import _zeta_scheme
 from airylab.numerics import RULE16, PanelScheme, integrate_panels
@@ -99,22 +99,19 @@ def kernel_trace(grid, table, n, log_weight):
 
 
 def deformation_matrix(grid, table_und, n, log_sigma_nodes):
-    """M, dropped and the kept node indices, from one n x N slab of U.
+    """M, dropped and the kept node indices, from one slab of U on the kept nodes.
 
-    The drop rule of airylab.ensemble.deformation_matrix: the nodes that
-    n (1 - sigma_i) rules out within half of DROP_TOL, then the smallest
-    c_i = w_i (1 - sigma_i) sum_k U_ki^2 within the rest.  U is formed on every
-    remaining node at once, and M = V V^T from the kept columns.
+    The drop rule of airylab.ensemble.deformation_matrix: node i is kept where
+    n (1 - sigma_i) > DROP_TOL / N, and dropped sums n (1 - sigma_i) over the
+    rest.  U is formed on every kept node at once, and M = V V^T.
     """
     one_minus_sigma = -np.expm1(np.asarray(log_sigma_nodes, dtype=float))
-    ruled_out, dropped = _smallest_within(n * one_minus_sigma, 0.5 * DROP_TOL)
-    live = np.flatnonzero(~ruled_out)
-    wd = grid.weights[live] * one_minus_sigma[live]
-    U = weighted_values(table_und, n, grid.nodes[live], 0.5 * grid.log_w_und[live])
-    small, dropped_c = _smallest_within(wd * np.einsum("ki,ki->i", U, U), DROP_TOL - dropped)
-    V = U[:, ~small]
-    V *= np.sqrt(wd[~small])
-    return V @ V.T, dropped + dropped_c, live[~small]
+    bound = n * one_minus_sigma
+    kept = np.flatnonzero(bound > DROP_TOL / bound.size)
+    dropped = float(np.sum(np.delete(bound, kept)))
+    V = weighted_values(table_und, n, grid.nodes[kept], 0.5 * grid.log_w_und[kept])
+    V *= np.sqrt(grid.weights[kept] * one_minus_sigma[kept])
+    return V @ V.T, dropped, kept
 
 
 def window_grid(eq, n):

@@ -67,7 +67,7 @@ class TestConfig:
         assert cfg.t_param == 1.0 and isinstance(cfg.t_param, float)
         assert all(isinstance(v, float) for v in cfg.potential + cfg.s_list)
         assert cfg.hash() == LabConfig({}).hash()
-        assert LabConfig({"fredholm_L": 10}).hash() == LabConfig({"fredholm_L": 10.0}).hash()
+        assert LabConfig({"idpii_s_max": 12}).hash() == LabConfig({"idpii_s_max": 12.0}).hash()
 
 
 class TestEmission:
@@ -229,10 +229,10 @@ class TestTheorem1Target:
     def test_failed_target_fails_every_n_of_its_s(self, monkeypatch):
         real = cli.fredholm_det_ft
 
-        def failing(s, T, m, L):
+        def failing(s, T, m):
             if s != 0.0:  # the target of s = 1
                 raise BreakdownError("det(I - K) is not positive")
-            return real(s, T, m, L)
+            return real(s, T, m)
 
         monkeypatch.setattr(cli, "fredholm_det_ft", failing)
         records = run_theorem1(LabConfig(self.CFG))
@@ -255,9 +255,9 @@ class TestCrosscheckDeterminants:
         calls = []
         real = cli.fredholm_det_ft
 
-        def counting(s, T, m, L):
-            calls.append((s, T, m, L))
-            return real(s, T, m, L)
+        def counting(s, T, m):  # the map scale L keeps its default
+            calls.append((s, T, m))
+            return real(s, T, m)
 
         monkeypatch.setattr(cli, "fredholm_det_ft", counting)
         records = cli.run_crosschecks(LabConfig({}))
@@ -364,12 +364,27 @@ class TestMain:
         assert "configuration error" in err and f"'{key}'" in err
         assert not (tmp_path / f"{study}.csv").exists()
 
+    @pytest.mark.parametrize("study, key", [
+        ("theorem1", "deformation"), ("theorem3", "deformation"), ("theorem3", "deformation2"),
+    ])
+    def test_deformation_sign_fails_on_the_support_exit_two(self, tmp_path, capsys, study,
+                                                           key):
+        # 0.01 x^2 has the support [-28.3, 0], and Q = -x + 0.01 x^3 turns
+        # negative left of x = -10, past the [-6, 6] that the configuration checks
+        data = {"potential": [0.0, 0.0, 0.01], key: [0.0, -1.0, 0.0, 0.01], "n_list": [16, 32]}
+        cfg = write_config(tmp_path, data)
+        assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}'" in err
+        assert "[-28.2843, 0]" in err and "x = -10.0" in err
+        assert not (tmp_path / f"{study}.csv").exists()
+
     @pytest.mark.parametrize("study, data, key", [
         ("idpii-solve", {"idpii_s_min": 5.0, "idpii_s_max": 1.0}, "idpii_s_min"),
         ("idpii-solve", {"idpii_n_steps": 2801}, "idpii_n_steps"),  # not a multiple of 4
         ("idpii-solve", {"idpii_h_xi": 0.0}, "idpii_h_xi"),
         ("idpii-solve", {"idpii_h_xi": -0.04}, "idpii_h_xi"),
-        ("fredholm", {"fredholm_L": -10.0}, "fredholm_L"),
+        ("fredholm", {"fredholm_L": -10.0}, "fredholm_L"),  # no longer a key: unknown
         ("fredholm", {"fredholm_m": 1}, "fredholm_m"),
     ])
     def test_refused_solver_setting_exit_two(self, tmp_path, capsys, study, data, key):

@@ -93,6 +93,14 @@ class TestDeformation:
         with pytest.raises(DomainError):
             DeformationQ([0.0, -1.0, 0.0, 0.5])
 
+    def test_sign_checked_over_the_support(self):
+        # Q = -x + 0.01 x^3 turns negative left of x = -10: inside [-6, 6] it
+        # holds, over the support [-28.3, 0] of 0.01 x^2 it does not
+        q = [0.0, -1.0, 0.0, 0.01]
+        assert DeformationQ(q).t == DeformationQ(q, a=5.0).t == 1.0
+        with pytest.raises(DomainError, match=r"\[-28\.3, 6\] at x = -10\.0"):
+            DeformationQ(q, a=28.3)
+
     def test_log_sigma_stable(self, q_linear):
         vals = log_sigma(q_linear, 64, 0.0, np.array([-100.0, 0.0, 100.0]))
         assert np.all(np.isfinite(vals))
@@ -210,8 +218,8 @@ class TestLinearStatistic:
 class TestTrimmedDeformation:
     """log_lstat_det from the nodes that carry M against the full-grid product."""
 
-    @pytest.mark.parametrize("potential", ["gaussian", "quartic"])
-    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "asymmetric"])
+    @pytest.mark.parametrize("n", [64, 256, 512])
     def test_matches_full_grid_gemm(self, tables, potential, n):
         for s in (-3.0, 0.0, 3.0):
             grid, t_und, _, lsig = tables(potential, n, s)
@@ -259,6 +267,26 @@ class TestTrimmedDeformation:
             assert len(calls) == -(-ref_kept.size // size)
             assert all(c.size <= size for c in calls)
 
+    @pytest.mark.parametrize("potential", ["gaussian", "asymmetric"])
+    def test_one_recurrence_sweep_over_the_kept_nodes(self, tables, monkeypatch, potential):
+        # every recurrence row deformation_matrix makes comes from weighted_values,
+        # on the kept nodes, each node once; no sweep picks the nodes beforehand
+        n = 256
+        grid, t_und, _, lsig = tables(potential, n, 0.0)
+        kept = oracles.deformation_matrix(grid, t_und, n, lsig)[2]
+        sweeps, real_rows = [], ensemble._rows
+
+        def rows(table, n, x, lwh):
+            sweeps.append(np.array(x))
+            return real_rows(table, n, x, lwh)
+
+        monkeypatch.setattr(ensemble, "_rows", rows)
+        calls = self._spy_weighted_values(monkeypatch)
+        deformation_matrix(grid, t_und, n, lsig)
+        assert len(sweeps) == len(calls) >= 1
+        assert all(np.array_equal(a, b) for a, b in zip(sweeps, calls))
+        assert np.array_equal(np.concatenate(sweeps), grid.nodes[kept])
+
     def test_no_node_survives(self, eq_sgue, q_linear):
         # at s = 200, n (1 - sigma) rules out every node: M = 0 and log L = 0
         n = 64
@@ -282,8 +310,8 @@ class TestTrimmedDeformation:
         # log_lstat_det: one slab of BLOCK_ENTRIES weighted values and a few n x n
         # arrays (M, the product V V^T, I - M and the copies of eigvalsh and
         # slogdet), plus node-length arrays of the drop rule; no n x N slab.
-        # Measured 9.9 MB at n = 256 and 13.3 MB at n = 512, under limits of
-        # 12.2 and 20.1 MB; the one-slab assembly took 27.8 and 76.4 MB.
+        # Measured 5.8 MB at n = 256 and 12.2 MB at n = 512, under limits of
+        # 10.4 and 16.8 MB; the one-slab assembly took 27.8 and 76.4 MB.
         # kernel_trace: a few node-length arrays, no slab at all
         for n in (256, 512):
             grid, t_und, _, lsig = build_tables(eq_sgue, q_linear, n, 0.0)
