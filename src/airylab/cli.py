@@ -44,11 +44,7 @@ _DEFAULTS = {
     "n_list": [16, 32, 64],
     "s_list": [0.0, 1.0],
     "t_param": 1.0,
-    "fredholm_m": 80,
-    "idpii_s_min": -2.0,
     "idpii_s_max": 12.0,
-    "idpii_h_xi": 0.04,
-    "idpii_n_steps": 2800,
 }
 
 
@@ -94,20 +90,12 @@ class LabConfig:
                 model(merged[key])
             except DomainError as exc:
                 raise ConfigError(f"'{key}' is refused: {exc}") from exc
-        for key in ("t_param", "idpii_s_min", "idpii_s_max", "idpii_h_xi"):
+        for key in ("t_param", "idpii_s_max"):
             if not _is_number(merged[key]):
                 raise ConfigError(f"'{key}' must be a finite number")
             merged[key] = float(merged[key])
-        for key in ("fredholm_m", "idpii_n_steps"):
-            if not _is_count(merged[key]):
-                raise ConfigError(f"'{key}' must be a positive integer")
-        for key in ("t_param", "idpii_h_xi"):
-            if not merged[key] > 0:
-                raise ConfigError(f"'{key}' must be positive")
-        if merged["fredholm_m"] < 2:
-            raise ConfigError("'fredholm_m' must be at least 2")
-        if not merged["idpii_s_min"] < merged["idpii_s_max"]:
-            raise ConfigError("'idpii_s_min' must be below 'idpii_s_max'")
+        if not merged["t_param"] > 0:
+            raise ConfigError("'t_param' must be positive")
         for key, val in merged.items():
             setattr(self, key, val)
 
@@ -230,33 +218,36 @@ def _setup(cfg):
 
 
 def _solve_idpii(cfg, t, s_read):
-    """The id-PII solution at t, on a window that holds the S of every s in s_read."""
+    """The id-PII solution at t on S in [min(-2, lowest S of s_read), idpii_s_max],
+    in RK4 steps of at most 0.005; an S above idpii_s_max is a configuration error."""
     S_read, T, _, _ = limit_coordinates(np.asarray(s_read, dtype=float), t)
-    outside = [float(S) for S in S_read if not cfg.idpii_s_min <= S <= cfg.idpii_s_max]
-    if outside:
-        raise ConfigError(f"id-PII at t = {t}, T = {T} is read at S = {outside}, outside "
-                          f"[idpii_s_min, idpii_s_max] = [{cfg.idpii_s_min}, {cfg.idpii_s_max}]")
+    above = [float(S) for S in S_read if S > cfg.idpii_s_max]
+    if above:
+        raise ConfigError(f"id-PII at t = {t}, T = {T} is read at S = {above}, above "
+                          f"idpii_s_max = {cfg.idpii_s_max}")
+    S_min = min([-2.0] + S_read.tolist())
+    # 4 steps per stored layer; the slack keeps a width that is a whole number
+    # of layers, such as 14 / 0.02 = 700 (2800 steps), from rounding up to one more
+    n_steps = 4 * math.ceil((cfg.idpii_s_max - S_min) / 0.02 - 1e-9)
     try:
-        return solve_idpii(T, S_min=cfg.idpii_s_min, S_max=cfg.idpii_s_max,
-                           h_xi=cfg.idpii_h_xi, n_steps=cfg.idpii_n_steps)
+        return solve_idpii(T, S_min=S_min, S_max=cfg.idpii_s_max, n_steps=n_steps)
     except DomainError as exc:
-        raise ConfigError(f"id-PII at t = {t}, T = {T} (idpii_s_max = {cfg.idpii_s_max}, "
-                          f"idpii_h_xi = {cfg.idpii_h_xi}, idpii_n_steps = "
-                          f"{cfg.idpii_n_steps}): {exc}") from exc
+        raise ConfigError(f"id-PII at t = {t}, T = {T} on S in [{S_min}, "
+                          f"idpii_s_max = {cfg.idpii_s_max}]: {exc}") from exc
 
 
-def _limit_det(cfg, sigma, T_L, where):
+def _limit_det(sigma, T_L, where):
     """L(sigma, T_L); a point outside the Nystrom domain is a configuration error of where."""
     try:
-        return fredholm_det_ft(sigma, T_L, cfg.fredholm_m)
+        return fredholm_det_ft(sigma, T_L)
     except DomainError as exc:
         raise ConfigError(f"{where} reads L(sigma = {sigma}, T_L = {T_L}): {exc}") from exc
 
 
-def _theorem1_target(cfg, s, t):
+def _theorem1_target(s, t):
     """The n-independent limit log L(sigma, T_L) at the limit coordinates of (s, t)."""
     _, _, sigma, T_L = limit_coordinates(s, t)
-    return float(np.log(_limit_det(cfg, sigma, T_L, f"theorem1 at s = {s}, t = {t}")))
+    return float(np.log(_limit_det(sigma, T_L, f"theorem1 at s = {s}, t = {t}")))
 
 
 def run_theorem1(cfg):
@@ -271,7 +262,7 @@ def run_theorem1(cfg):
         return lg, err, {"route_det": ld, "target": tgt, "error": err}, routes_ok
 
     return [r for s in cfg.s_list
-            for r in _sweep("theorem1", s, cfg.n_list, lambda: _theorem1_target(cfg, s, t_eff),
+            for r in _sweep("theorem1", s, cfg.n_list, lambda: _theorem1_target(s, t_eff),
                             functools.partial(point, s), -0.3)]
 
 
@@ -368,9 +359,9 @@ def run_crosschecks(cfg):
                                 {"quad": fm12, "target": fm12_exact},
                                 "pass" if poly_err <= 1e-12 else "fail"))
 
-    # the convergence table and the stencil share (s, T = 1, m) at s = 0 and
-    # -1 when fredholm_m is 80; the stencil's -0.0 is the key 0.0, and the
-    # determinant there is the same to the bit
+    # the convergence table and the stencil share (s, T = 1, m = 80) at s = 0
+    # and -1; the stencil's -0.0 is the key 0.0, and the determinant there is
+    # the same to the bit
     @functools.cache
     def det(s, T, m):
         return fredholm_det_ft(s, T, m)
@@ -384,7 +375,7 @@ def run_crosschecks(cfg):
     spacing = 0.05
     for S in (0.0, 1.0):
         _, _, sigma, T_L = limit_coordinates(S + spacing * np.arange(-2.0, 3.0), 1.0)
-        stencil = [float(np.log(det(x, T_L, cfg.fredholm_m))) for x in sigma.tolist()]
+        stencil = [float(np.log(det(x, T_L, 80))) for x in sigma.tolist()]
         res = tw_local_check(sol, S, stencil, spacing)
         records.append(ResultRecord("crosscheck-twlocal", (S,), res, {},
                                     "pass" if res <= 2e-3 else "fail"))
@@ -395,7 +386,7 @@ def _run_fredholm(cfg):
     """L(s, t^3) for s in s_list, the temperature of the idpii-solve solution at t."""
     T_L = limit_coordinates(0.0, cfg.t_param)[3]
     return [ResultRecord("fredholm", (s, T_L),
-                         _limit_det(cfg, s, T_L, f"fredholm at t_param = {cfg.t_param}"), {}, "pass")
+                         _limit_det(s, T_L, f"fredholm at t_param = {cfg.t_param}"), {}, "pass")
             for s in cfg.s_list]
 
 

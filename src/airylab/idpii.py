@@ -72,8 +72,9 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     Returns an IdPiiSolution with layers stored every 4 RK4 steps.  A
     boundary-truncation guard flags (without aborting) layers where the
     integrand Phi^2 * fermi_weight at the grid ends exceeds 1e-10 of its
-    maximum.  A T whose Airy start data leave the domain of airy_ai is refused,
-    and a step after which Phi, dPhi/dS or P is not finite raises BlowUpError.
+    maximum.  A T whose Airy start data leave the domain of airy_ai, or
+    underflow at xi = 0, is refused, and a step after which Phi, dPhi/dS or P
+    is not finite raises BlowUpError.
 
     The march is classical RK4 on the first-order system (y, v, P), y = Phi,
     v = dPhi/dS, in Runge-Kutta-Nystrom form (Hairer, Norsett and Wanner,
@@ -109,12 +110,19 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     # into spare[0] and the two swap
     basis, spare = np.empty((2, 3, 2, n_xi))
     t16 = T ** (1.0 / 6.0)
-    arg0 = T ** (2.0 / 3.0) * xi + S_max * T ** (-1.0 / 3.0)
+    arg_peak = S_max * T ** (-1.0 / 3.0)
+    arg0 = T ** (2.0 / 3.0) * xi + arg_peak
     try:
         basis[0] = t16 * airy_ai(arg0), (1.0 / t16) * airy_ai_prime(arg0)
     except DomainError as exc:
         raise DomainError(f"T = {T:.6g} gives the lowest Airy start argument "
                           f"T^(2/3) xi_lo + S_max T^(-1/3) = {arg0[0]:.6g}: {exc}") from exc
+    # past an argument of about 104 Ai is not a normal float, and a start
+    # column of zeros stays zero for the whole linear march
+    if not t16 * airy_ai(arg_peak) >= np.finfo(float).tiny:
+        raise DomainError(f"T = {T:.6g}, S_max = {S_max:.6g}: the Airy start value at "
+                          f"xi = 0, the peak of the Fermi weight, underflows at the "
+                          f"argument S_max T^(-1/3) = {arg_peak:.6g}")
     w_xi = fermi_weight(xi)
     # I(S) = Phi^2 . wq: composite Simpson weights on the first n_simp (odd)
     # samples, a trapezoid closing panel when n_xi is even, times the Fermi weight

@@ -1,5 +1,6 @@
 """Tests for configuration handling, record emission, and the CLI front end."""
 
+import inspect
 import json
 import os
 
@@ -11,7 +12,7 @@ from airylab.cli import (ConfigError, LabConfig, ResultRecord, emit, main,
                          parse_config, run_theorem1)
 from airylab.ensemble import build_tables, rescaled_edge_kernel
 from airylab.errors import BreakdownError
-from airylab.idpii import k_infinity
+from airylab.idpii import k_infinity, limit_coordinates
 
 
 def write_config(tmp_path, data):
@@ -49,7 +50,7 @@ class TestConfig:
             parse_config(str(p))
 
     def test_round_trip(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, {"s_list": [0.5], "fredholm_m": 40}))
+        cfg = parse_config(write_config(tmp_path, {"s_list": [0.5], "idpii_s_max": 40}))
         again = LabConfig(json.loads(json.dumps(cfg.to_dict())))
         assert again.to_dict() == cfg.to_dict()
         assert again.hash() == cfg.hash()
@@ -68,6 +69,10 @@ class TestConfig:
         assert all(isinstance(v, float) for v in cfg.potential + cfg.s_list)
         assert cfg.hash() == LabConfig({}).hash()
         assert LabConfig({"idpii_s_max": 12}).hash() == LabConfig({"idpii_s_max": 12.0}).hash()
+
+    def test_seven_keys(self):
+        assert sorted(cli._DEFAULTS) == ["deformation", "deformation2", "idpii_s_max",
+                                         "n_list", "potential", "s_list", "t_param"]
 
 
 class TestEmission:
@@ -117,7 +122,7 @@ class TestEmission:
 
 class TestRunners:
     def test_theorem1_small_run(self):
-        cfg = LabConfig({"n_list": [4, 8], "s_list": [0.0], "fredholm_m": 40})
+        cfg = LabConfig({"n_list": [4, 8], "s_list": [0.0]})
         records = run_theorem1(cfg)
         rows = [r for r in records if r.study == "theorem1"]
         assert len(rows) == 2
@@ -130,8 +135,7 @@ class TestRunners:
     def test_theorem1_point_past_the_recurrence_range_fails(self):
         # e^{-nV/2} is subnormal on the support at n = 768: that point fails
         # with the guard's message, the others of its s still run
-        records = run_theorem1(LabConfig({"n_list": [16, 768], "s_list": [0.0],
-                                          "fredholm_m": 40}))
+        records = run_theorem1(LabConfig({"n_list": [16, 768], "s_list": [0.0]}))
         rows = {r.params[0]: r for r in records if r.study == "theorem1"}
         assert rows[16].verdict == "pass"
         assert rows[768].verdict == "failed"
@@ -139,7 +143,7 @@ class TestRunners:
 
     def test_theorem1_point_past_the_det_accuracy_fails(self, monkeypatch):
         # the target refuses |s| > 12 by itself; a stand-in lets the points run
-        monkeypatch.setattr(cli, "_theorem1_target", lambda cfg, s, t: -1.0)
+        monkeypatch.setattr(cli, "_theorem1_target", lambda s, t: -1.0)
         records = run_theorem1(LabConfig({"n_list": [16, 32], "s_list": [-30.0, 0.0]}))
         rows = {r.params: r for r in records if r.study == "theorem1"}
         for n in (16, 32):
@@ -160,14 +164,13 @@ class TestRunners:
             return real(*args)
 
         monkeypatch.setattr(cli, "k_infinity", counting)
-        records = cli.run_theorem2(LabConfig({"n_list": [4, 8, 16], "s_list": [0.0],
-                                              "idpii_h_xi": 0.25, "idpii_n_steps": 400}))
+        records = cli.run_theorem2(LabConfig({"n_list": [4, 8, 16], "s_list": [0.0]}))
         assert len(calls) == 15
         assert len([r for r in records if r.study == "theorem2"]) == 3
 
     def test_theorem2_kernels_are_symmetric_to_the_bit(self):
         # theorem2 reads only u <= v of its grid, so the sup rests on this
-        cfg = LabConfig({"idpii_h_xi": 0.25, "idpii_n_steps": 400})
+        cfg = LabConfig({})
         eq, Q, t_eff = cli._setup(cfg)
         s = cfg.s_list[0]
         sol = cli._solve_idpii(cfg, t_eff, [s])
@@ -187,8 +190,7 @@ class TestRunners:
             raise BreakdownError("K_inf is not finite")
 
         monkeypatch.setattr(cli, "k_infinity", failing)
-        records = cli.run_theorem2(LabConfig({"n_list": [4, 8], "s_list": [0.0],
-                                              "idpii_h_xi": 0.25, "idpii_n_steps": 400}))
+        records = cli.run_theorem2(LabConfig({"n_list": [4, 8], "s_list": [0.0]}))
         assert {r.params for r in records} == {(4, 0.0), (8, 0.0)}
         assert all(r.study == "theorem2" and r.verdict == "failed"
                    and r.aux["error"] == "K_inf is not finite" for r in records)
@@ -196,8 +198,7 @@ class TestRunners:
     @pytest.mark.parametrize("s", [0.5, -1.3])
     def test_theorem3_one_s_solves_no_idpii(self, monkeypatch, s):
         # only the s-differences read the solution, and one s has none; so
-        # neither the solve nor its window check runs (-1.3 T = -3.7 lies
-        # below idpii_s_min = -2 at T = 2^{3/2})
+        # the solve does not run
         calls = []
         monkeypatch.setattr(cli, "solve_idpii", lambda *a, **k: calls.append(a))
         records = cli.run_theorem3(LabConfig({"n_list": [4, 8], "s_list": [s]}))
@@ -206,10 +207,56 @@ class TestRunners:
         assert all(r.verdict == "pass" for r in records)
 
 
+class _Solved(Exception):
+    """Ends a study at its id-PII solve, whose arguments the spy has kept."""
+
+
+def _idpii_window(monkeypatch, study, data):
+    """(S_min, S_max, h_xi, n_steps) of the one solve_idpii call of study on
+    data, the solver's defaults filled in."""
+    calls = []
+    signature = inspect.signature(cli.solve_idpii)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        raise _Solved
+
+    monkeypatch.setattr(cli, "solve_idpii", spy)
+    with pytest.raises(_Solved):
+        cli._STUDIES[study](LabConfig(data))
+    (args,) = calls
+    return args["S_min"], args["S_max"], args["h_xi"], args["n_steps"]
+
+
+class TestIdPiiWindow:
+    @pytest.mark.parametrize("data, window", [
+        ({}, (-2.0, 12.0, 0.04, 2800)),
+        ({"idpii_s_max": 40.0}, (-2.0, 40.0, 0.04, 8400)),
+        # 16.06 / 0.02 is 803.0000000000001 in floats: a plain ceiling gives 804 layers
+        ({"idpii_s_max": 14.06}, (-2.0, 14.06, 0.04, 3212)),
+    ])
+    def test_steps_of_0_005(self, monkeypatch, data, window):
+        assert _idpii_window(monkeypatch, "theorem2", data) == window
+
+    def test_default_step_is_0_005_to_the_bit(self, monkeypatch):
+        S_min, S_max, _, n_steps = _idpii_window(monkeypatch, "idpii-solve", {})
+        assert (S_min - S_max) / n_steps == -0.005
+
+    def test_window_reaches_the_lowest_s_read(self, monkeypatch):
+        s_list = [-1.3, 0.4, 2.7]
+        S_min, S_max, _, n_steps = _idpii_window(monkeypatch, "theorem3", {"s_list": s_list})
+        t = cli._setup(LabConfig({}))[2]
+        S_read = [limit_coordinates(s, t)[0] for s in s_list]
+        assert S_min == min(S_read) < -2.0 and max(S_read) <= S_max == 12.0
+        assert (S_max - S_min) / n_steps <= 0.005 < (S_max - S_min) / (n_steps - 4)
+
+
 class TestTheorem1Target:
     """The limit det(I - K) does not depend on n: one determinant per s."""
 
-    CFG = {"n_list": [4, 8], "s_list": [0.0, 1.0], "fredholm_m": 40}
+    CFG = {"n_list": [4, 8], "s_list": [0.0, 1.0]}
 
     def test_one_determinant_per_s(self, monkeypatch):
         calls = []
@@ -229,10 +276,10 @@ class TestTheorem1Target:
     def test_failed_target_fails_every_n_of_its_s(self, monkeypatch):
         real = cli.fredholm_det_ft
 
-        def failing(s, T, m):
+        def failing(s, T):
             if s != 0.0:  # the target of s = 1
                 raise BreakdownError("det(I - K) is not positive")
-            return real(s, T, m)
+            return real(s, T)
 
         monkeypatch.setattr(cli, "fredholm_det_ft", failing)
         records = run_theorem1(LabConfig(self.CFG))
@@ -248,7 +295,7 @@ class TestTheorem1Target:
 
 class TestCrosscheckDeterminants:
     def test_each_determinant_computed_once(self, monkeypatch):
-        # with fredholm_m = 80 the convergence table and the twlocal stencil
+        # the convergence table and the twlocal stencil, both at m = 80 there,
         # share (s, T, m) = (0, 1, 80) and (-1, 1, 80); the stencil asks for
         # s = -(0 + 0 * 0.05) = -0.0, the same determinant as s = 0.0.  So 9
         # (s, T) pairs at m = 40 and 80 and 10 stencil points, 2 of them shared
@@ -287,6 +334,8 @@ class TestMain:
         p.write_text(json.dumps({"t_param": -2.0}))
         assert main(["eqmeasure", "--config", str(p)]) == 2
 
+    # fredholm_L, fredholm_m, idpii_h_xi and idpii_n_steps are no longer
+    # keys: those cases are refused as unknown keys
     @pytest.mark.parametrize("text", [
         '{"t_param": "1"}', '{"t_param": true}', '{"t_param": Infinity}',
         '{"fredholm_L": NaN}', '{"idpii_h_xi": "0.04"}',
@@ -338,18 +387,34 @@ class TestMain:
             main(["eqmeasure", "--out", str(tmp_path), "--workers", "2"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("study, data", [
-        ("theorem2", {"s_list": [-1.3, 0.4, 2.7]}),
-        ("theorem3", {"s_list": [-1.3, 0.4, 2.7]}),
-        ("crosschecks", {"idpii_s_min": 0.5}),
+    @pytest.mark.parametrize("key, value", [
+        ("fredholm_m", 80), ("idpii_s_min", -2.0), ("idpii_h_xi", 0.04), ("idpii_n_steps", 2800),
     ])
-    def test_idpii_window_missing_an_s_exit_two(self, tmp_path, study, data, capsys):
-        # theorem2 reads the solution at s_list[0] T, theorem3 at every s T
-        # (T = 2^{3/2} on the default potential), crosschecks at S = 0 and 1
+    def test_solver_key_gone(self, tmp_path, capsys, key, value):
+        # m = 80 and h_xi = 0.04 are the solvers' own defaults, and the id-PII
+        # window and its steps follow from idpii_s_max and the S a study reads
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["eqmeasure", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown configuration keys" in err and key in err
+
+    @pytest.mark.parametrize("study", ["theorem2", "theorem3"])
+    def test_idpii_window_below_minus_two_exit_zero(self, tmp_path, study):
+        # theorem2 reads the solution at s_list[0] T, theorem3 at every s T;
+        # T = 2^{3/2} on the default potential puts s = -1.3 at S = -3.68
+        cfg = write_config(tmp_path, {"s_list": [-1.3, 0.4, 2.7]})
+        assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("study, data", [
+        ("theorem3", {"s_list": [0.0, 5.0]}),  # S = 5 T = 14.1 at T = 2^{3/2}
+        ("crosschecks", {"idpii_s_max": 0.5}),  # S = 0 and 1 at T = 1
+    ])
+    def test_s_above_idpii_s_max_exit_two(self, tmp_path, capsys, study, data):
         cfg = write_config(tmp_path, data)
         assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "idpii_s_min" in err
+        assert "configuration error" in err and "above idpii_s_max" in err
+        assert not (tmp_path / f"{study}.csv").exists()
 
     @pytest.mark.parametrize("study", ["theorem1", "theorem2", "eqmeasure"])
     @pytest.mark.parametrize("data, key", [
@@ -379,13 +444,17 @@ class TestMain:
         assert "[-28.2843, 0]" in err and "x = -10.0" in err
         assert not (tmp_path / f"{study}.csv").exists()
 
+    # idpii_s_min, idpii_n_steps, idpii_h_xi, fredholm_L and fredholm_m are
+    # no longer keys: the first six cases are refused as unknown keys
     @pytest.mark.parametrize("study, data, key", [
         ("idpii-solve", {"idpii_s_min": 5.0, "idpii_s_max": 1.0}, "idpii_s_min"),
-        ("idpii-solve", {"idpii_n_steps": 2801}, "idpii_n_steps"),  # not a multiple of 4
+        ("idpii-solve", {"idpii_n_steps": 2801}, "idpii_n_steps"),
         ("idpii-solve", {"idpii_h_xi": 0.0}, "idpii_h_xi"),
         ("idpii-solve", {"idpii_h_xi": -0.04}, "idpii_h_xi"),
-        ("fredholm", {"fredholm_L": -10.0}, "fredholm_L"),  # no longer a key: unknown
+        ("fredholm", {"fredholm_L": -10.0}, "fredholm_L"),
         ("fredholm", {"fredholm_m": 1}, "fredholm_m"),
+        # the window's bottom is -2 at least, and the solver needs S_max above it
+        ("idpii-solve", {"idpii_s_max": -3.0}, "idpii_s_max"),
     ])
     def test_refused_solver_setting_exit_two(self, tmp_path, capsys, study, data, key):
         cfg = write_config(tmp_path, data)
@@ -393,6 +462,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
         assert not (tmp_path / f"{study}.csv").exists()
+
+    @pytest.mark.parametrize("data, names", [
+        ({"t_param": 100}, ["T = 0.001", "S_max = 12", "= 120"]),
+        ({"idpii_s_max": 150}, ["T = 1", "S_max = 150", "= 150"]),
+    ])
+    def test_idpii_start_underflow_exit_two(self, tmp_path, capsys, data, names):
+        # Ai(S_max T^{-1/3}) underflows past about 104: the march from a zero
+        # start would give I = 0 and P = S^2 / (4T) on every row
+        cfg = write_config(tmp_path, data)
+        assert main(["idpii-solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "underflows" in err
+        assert all(name in err for name in names)
+        assert not (tmp_path / "idpii-solve.csv").exists()
 
     def test_idpii_temperature_past_the_airy_domain_exit_two(self, tmp_path, capsys):
         # t_param = 0.1 is T = 10^{3/2}: the lowest start argument
@@ -456,13 +539,13 @@ class TestMain:
     def test_fredholm_at_the_idpii_temperature(self, tmp_path):
         # the id-PII solution at T = t^{-3/2} belongs to L(., t^3), as does
         # theorem1's target at t, so fredholm evaluates L(s, t^3)
-        data = {"s_list": [0.0, 1.0], "t_param": 2, "fredholm_m": 40}
+        data = {"s_list": [0.0, 1.0], "t_param": 2}
         assert main(["fredholm", "--config", write_config(tmp_path, data),
                      "--out", str(tmp_path), "--format", "json"]) == 0
         recs = json.loads((tmp_path / "fredholm.json").read_text())
         assert [[float(p) for p in r["params"]] for r in recs] == [[0.0, 8.0], [1.0, 8.0]]
         for r, s in zip(recs, (0.0, 1.0)):
-            assert float(r["value"]) == fredholm.fredholm_det_ft(s, 8.0, 40, 10.0)
+            assert float(r["value"]) == fredholm.fredholm_det_ft(s, 8.0, 80, 10.0)
 
     def test_fredholm_temperature_out_of_range_exit_two(self, tmp_path, capsys):
         # t = 21 gives T = 9261, past the 8000 the Nystrom matrix accepts

@@ -213,6 +213,21 @@ class TestSolver:
         with pytest.raises(DomainError, match=r"T = 31\.6228 .* = -296\.205"):
             solve_idpii(10.0 ** 1.5)
 
+    @pytest.mark.parametrize("T, S_max, arg", [(1e-3, 12.0, "120"), (1.0, 150.0, "150")])
+    def test_underflowed_start_refused(self, T, S_max, arg):
+        # Ai(S_max T^{-1/3}) is no normal float past about 104: a start column
+        # of zeros would march to I = 0 and P = S^2 / (4T) on every layer
+        with pytest.raises(DomainError, match=rf"T = {T:g}, S_max = {S_max:g}: .* = {arg}$"):
+            solve_idpii(T, S_max=S_max, n_steps=4)
+
+    @pytest.mark.parametrize("t_param", [0.147, 1.0, 16.0 ** (-2.0 / 3.0), 50.0, 74.8])
+    def test_start_at_the_default_window_is_normal(self, t_param):
+        # up to t_param of about 74.8 the start at S_max = 12 is a normal
+        # float at xi = 0, so idpii-solve accepts it
+        sol = solve_idpii(t_param ** -1.5, S_min=11.98, n_steps=4)
+        i0 = np.argmin(np.abs(sol.xi_grid))
+        assert sol.Phi[0, i0] >= np.finfo(float).tiny
+
 
 class TestInterpolation:
     def test_reproduces_grid_values(self, sol):
