@@ -24,9 +24,9 @@ import sys
 import numpy as np
 
 from .equilibrium import Potential, build_equilibrium, szego_q0, q0_limit
-from .ensemble import (DeformationQ, build_tables, kernel_trace,
+from .ensemble import (DeformationQ, build_grid, build_tables, deformed_table, kernel_trace,
                        log_lstat_det, log_lstat_gamma, norming_ratio,
-                       rescaled_edge_kernel)
+                       rescaled_edge_kernel, undeformed_table)
 from .errors import DomainError
 from .fredholm import fredholm_det_ft
 from .idpii import interp_P, k_infinity, limit_coordinates, solve_idpii, tw_local_check
@@ -254,8 +254,15 @@ def run_theorem1(cfg):
     """Per (n, s): both finite-n routes against the limiting log-determinant."""
     eq, Q, t_eff = _setup(cfg)
 
+    undeformed = {}  # n -> (grid, undeformed table): neither depends on s
+
     def point(s, tgt, n):
-        grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
+        if n in undeformed:
+            grid, t_und = undeformed[n]
+            t_def, lsig = deformed_table(grid, Q, n, s)
+        else:
+            grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
+            undeformed[n] = grid, t_und
         lg, ld = log_lstat_gamma(t_def, t_und, n), log_lstat_det(grid, t_und, n, lsig)
         err = abs(lg - tgt)
         routes_ok = abs(lg - ld) <= 1e-6 * (1.0 + abs(lg))
@@ -276,7 +283,7 @@ def run_theorem2(cfg):
     pairs = [(u, v) for i, u in enumerate(us) for v in us[i:]]
 
     def point(limit, n):
-        grid, t_und, t_def, lsig = build_tables(eq, Q, n, s)
+        t_def = deformed_table(build_grid(eq, n), Q, n, s)[0]
         sup = max(abs(rescaled_edge_kernel(eq, t_def, n, u, v) - k)
                   for (u, v), k in zip(pairs, limit))
         return sup, sup, {}, True
@@ -300,7 +307,7 @@ def run_theorem3(cfg):
         for s in cfg.s_list:
             for n in cfg.n_list:
                 try:  # one failing point does not end the study
-                    r = norming_ratio(eq, build_tables(eq, Q, n, s)[2], n)
+                    r = norming_ratio(eq, deformed_table(build_grid(eq, n), Q, n, s)[0], n)
                 except Exception as exc:
                     records.append(_failed("theorem3", (label, n, s), exc))
                     continue
@@ -339,7 +346,8 @@ def run_crosschecks(cfg):
     eq, Q, _ = _setup(cfg)
 
     n0 = cfg.n_list[0]
-    grid, t_und, t_def, lsig = build_tables(eq, Q, n0, cfg.s_list[0])
+    grid = build_grid(eq, n0)
+    t_und = undeformed_table(grid, n0)
     tr = kernel_trace(grid, t_und, n0, grid.log_w_und)
     records.append(ResultRecord("crosscheck-trace", (n0,), tr,
                                 {"target": float(n0)},

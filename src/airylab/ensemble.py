@@ -17,8 +17,8 @@ half-weights e^{log w / 2}, which keeps every intermediate quantity of order
 one.  The recurrences start from e^{-nV/2} on the nodes, so n is bounded by
 that start staying a normal float (>= e^{-708.4}) on the support:
 n max V / 2 <= 708.4 there, which is n <= 708 for V = 2(1+x)^2 (V = 2 at both
-edges).  Beyond the bound build_tables raises BreakdownError rather than
-return tables that have lost nodes.
+edges).  Beyond the bound build_grid raises BreakdownError rather than
+give recurrences a grid whose nodes would be lost.
 
 The Stieltjes procedure sweeps the nodes in place, on four preallocated
 buffers.  One generator of the three-term recurrence yields the weighted
@@ -115,6 +115,11 @@ def build_grid(eq, n):
     margin is a factor of two: this count and half of it stay at the rounding
     floor against a grid with every panel split in three, while a quarter of
     it does not (tests/test_ensemble.py::TestGridConvergence).
+
+    Raises BreakdownError, naming n and the worst node, where the start
+    e^{-nV/2} of the recurrences is below the smallest normal float on the
+    support [-a, 0]: the node would lose its digits, or drop out of the
+    measure, with no breakdown in the recurrence itself.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -132,7 +137,15 @@ def build_grid(eq, n):
     else:
         raise ConvergenceError(f"build_grid at n={n}: the grid ends did not converge")
     panels = math.ceil(2.0 * (a + d.sum()) * n / (3.0 * a)) + 20
-    return EnsembleGrid(eq, n, PanelScheme(np.linspace(-a - d[0], d[1], panels + 1)))
+    grid = EnsembleGrid(eq, n, PanelScheme(np.linspace(-a - d[0], d[1], panels + 1)))
+    on_support = np.flatnonzero((grid.nodes >= -a) & (grid.nodes <= 0.0))
+    worst = on_support[np.argmin(grid.log_w_und[on_support])]
+    start = np.exp(0.5 * grid.log_w_und[worst])
+    if start < np.finfo(float).tiny:
+        raise BreakdownError(
+            f"build_grid at n={n}: the recurrence start e^(-nV/2) is {start:.3g} at the "
+            f"support node x={grid.nodes[worst]:.6g}, below the smallest normal float")
+    return grid
 
 
 class RecurrenceTable:
@@ -370,23 +383,21 @@ def norming_ratio(eq, table_def, n):
     return (4.0 * np.pi / eq.a) * math.exp(2.0 * n * eq.ell - table_def.log_h[n - 1])
 
 
-def build_tables(eq, Q, n, s):
-    """Convenience: grid plus deformed and undeformed recurrence tables, n + 1 terms.
+def undeformed_table(grid, n):
+    """Recurrence table of the undeformed weight e^{-nV} on grid, n + 1 terms."""
+    return stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und, n + 1)
 
-    Raises BreakdownError, naming n and the worst node, where the start
-    e^{-nV/2} of the recurrences is below the smallest normal float on the
-    support [-a, 0]: the node would lose its digits, or drop out of the
-    measure, with no breakdown in the recurrence itself.
-    """
-    grid = build_grid(eq, n)
-    on_support = np.flatnonzero((grid.nodes >= -eq.a) & (grid.nodes <= 0.0))
-    worst = on_support[np.argmin(grid.log_w_und[on_support])]
-    start = np.exp(0.5 * grid.log_w_und[worst])
-    if start < np.finfo(float).tiny:
-        raise BreakdownError(
-            f"build_tables at n={n}: the recurrence start e^(-nV/2) is {start:.3g} at the "
-            f"support node x={grid.nodes[worst]:.6g}, below the smallest normal float")
+
+def deformed_table(grid, Q, n, s):
+    """(table, log sigma_n at the nodes) of the deformed weight sigma_n e^{-nV}
+    on grid, n + 1 terms."""
     lsig = log_sigma(Q, n, s, grid.nodes)
-    t_und = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und, n + 1)
-    t_def = stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und + lsig, n + 1)
-    return grid, t_und, t_def, lsig
+    return stieltjes_recurrence(grid.nodes, grid.weights, grid.log_w_und + lsig, n + 1), lsig
+
+
+def build_tables(eq, Q, n, s):
+    """Convenience: grid plus undeformed and deformed recurrence tables, n + 1
+    terms, and log sigma_n at the nodes."""
+    grid = build_grid(eq, n)
+    t_und = undeformed_table(grid, n)
+    return (grid, t_und) + deformed_table(grid, Q, n, s)

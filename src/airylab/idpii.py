@@ -11,9 +11,14 @@ by classical RK4, in closed form since the equation is linear in Phi once the
 scalar I(S) is known (derivation in solve_idpii).  The anti-derivative P, with
 dP/dS = S/(2T) + I(S)/T and P(S_max) = S_max^2/(4T), rides along as a scalar.
 
-The limiting edge kernel K_infinity at (s, t) reads the interpolated (Phi,
-dPhi/dS) layers at the (S, T) that limit_coordinates gives, and diagnostics
-compare second S-derivatives of log-Fredholm determinants with I(S).
+The solution keeps I, its first two S-derivatives and P every 4 steps, and
+the field rows (Phi, dPhi/dS) every 16 steps.  Reads between layers are
+quintic Hermite in S from each end's value and two S-derivatives, which the
+equation itself supplies: d^2 Phi/dS^2 = (xi + S/T + 2I/T) Phi, and I', I''
+come from the moments of the march.  The limiting edge kernel K_infinity at
+(s, t) reads (Phi, dPhi/dS) this way at the (S, T) that limit_coordinates
+gives, and diagnostics compare second S-derivatives of log-Fredholm
+determinants with I(S).
 """
 
 import math
@@ -27,21 +32,28 @@ from .special import airy_ai, airy_ai_prime, fermi_weight
 class IdPiiSolution:
     """Stored layers of the downward integration.
 
-    S_grid is descending; layers[j] is the march state (Phi, dPhi/dS) at
-    S_grid[j], and Phi and dPhi are views of its two rows; I_of_S and P_of_S
-    are the integral term and anti-derivative on the same grid.
+    S_grid is descending, a layer every 4 RK4 steps: I_of_S, dI_of_S and
+    d2I_of_S (I and its first two S-derivatives), P_of_S and
+    truncation_flags are on it.  The field layers fields[k] = (Phi, dPhi/dS)
+    are stored every 16 steps and at the last, at S_fields[k] =
+    S_grid[field_index[k]]; Phi and dPhi are views of their two rows.
     """
 
-    def __init__(self, T, xi_grid, S_grid, layers, I_of_S, P_of_S, truncation_flags):
+    def __init__(self, T, xi_grid, S_grid, I_of_S, dI_of_S, d2I_of_S, P_of_S,
+                 truncation_flags, field_index, fields):
         self.T = T
         self.xi_grid = xi_grid
         self.S_grid = S_grid
-        self.layers = layers
-        self.Phi = layers[:, 0]
-        self.dPhi = layers[:, 1]
         self.I_of_S = I_of_S
+        self.dI_of_S = dI_of_S
+        self.d2I_of_S = d2I_of_S
         self.P_of_S = P_of_S
         self.truncation_flags = truncation_flags
+        self.field_index = field_index
+        self.S_fields = S_grid[field_index]
+        self.fields = fields
+        self.Phi = fields[:, 0]
+        self.dPhi = fields[:, 1]
 
     @property
     def h_xi(self):
@@ -69,10 +81,12 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                 h_xi=0.04, n_steps=2800):
     """Integrate the integro-differential Painleve II system downward in S.
 
-    Returns an IdPiiSolution with layers stored every 4 RK4 steps.  A
-    boundary-truncation guard flags (without aborting) layers where the
-    integrand Phi^2 * fermi_weight at the grid ends exceeds 1e-10 of its
-    maximum.  A T whose Airy start data leave the domain of airy_ai, or
+    Returns an IdPiiSolution with the scalars I, I', I'' and P stored every
+    4 RK4 steps, and the field rows (Phi, dPhi/dS) every 16 steps and at the
+    last: 176 field layers of 2 x 1126 floats, 3.2 MB, on the default grid.
+    A boundary-truncation guard flags (without aborting) the 4-step layers
+    where the integrand Phi^2 * fermi_weight at the grid ends exceeds 1e-10
+    of its maximum.  A T whose Airy start data leave the domain of airy_ai, or
     underflow at xi = 0, is refused, and a step after which Phi, dPhi/dS or P
     is not finite raises BlowUpError.
 
@@ -94,7 +108,9 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     Each Y_j is (a_0 + a_1 xi) y + (b_0 + b_1 xi) v, so I(Y_j) is a quadratic
     form in the moments sum wq xi^p {y^2, y v, v^2}, p <= 2, and the new
     (y, v) is a 2 x 6 matrix applied to the rows xi^p (y, v): a step is one
-    product for the moments, one for the state, and float arithmetic.
+    product for the moments, one for the state, and float arithmetic.  The
+    same moments give the S-derivatives that the reads use: I' = 2 sum wq y v
+    and I'' = 2 sum wq (v^2 + (xi + g_1) y^2).
     """
     if T <= 0:
         raise DomainError("T must be positive")
@@ -138,11 +154,11 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     wy, mom, coef = np.empty((2, n_xi)), np.empty((6, 2)), np.empty((2, 6))
 
     n_layers = n_steps // 4 + 1
-    S_grid = np.empty(n_layers)
-    layers = np.empty((n_layers, 2, n_xi))
-    I_of_S = np.empty(n_layers)
-    P_of_S = np.empty(n_layers)
+    S_grid, I_of_S, dI, d2I, P_of_S = np.empty((5, n_layers))
     flags = np.zeros(n_layers, dtype=bool)
+    # the field layers: every fourth 4-step layer, and the last
+    field_index = np.minimum(4 * np.arange((n_steps + 15) // 16 + 1), n_layers - 1)
+    fields = np.empty((field_index.size, 2, n_xi))
     h = (S_min - S_max) / n_steps
     hh = h * h
     h2, hh4, hh2, hhh4 = 0.5 * h, 0.25 * hh, 0.5 * hh, 0.25 * hh * h
@@ -161,19 +177,22 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                 math.isfinite(P) and np.isfinite(basis[0]).all()):
             raise BlowUpError(f"id-PII state became non-finite at step {i}", step=i)
         I1 = m[0]
+        g1 = S / T + 2.0 * I1 / T
         if i % 4 == 0:
             layer = i // 4
             S_grid[layer] = S
-            layers[layer] = basis[0]
             I_of_S[layer] = I1
+            dI[layer] = 2.0 * m[1]
+            d2I[layer] = 2.0 * (m[3] + m[4] + g1 * m[0])
             P_of_S[layer] = P
             integrand = basis[0, 0] * basis[0, 0] * w_xi
             peak = max(float(np.max(integrand)), 1e-300)
             flags[layer] = max(integrand[0], integrand[-1]) > 1e-10 * peak
+            if i % 16 == 0 or i == n_steps:
+                fields[(i + 15) // 16] = basis[0]
         if i == n_steps:
             break
         S_h, S_e = S + 0.5 * h, S + h
-        g1 = S / T + 2.0 * I1 / T
         I2 = _stage_integral(m, 1.0, 0.0, h2, 0.0)
         g2 = S_h / T + 2.0 * I2 / T
         a3 = 1.0 + hh4 * g1
@@ -195,60 +214,99 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                     c_v * (2.0 * h + g4 * hhh4 + b4), c_v * hh, c_v * hhh4))
         np.matmul(coef, basis.reshape(6, n_xi), out=spare[0])
         basis, spare = spare, basis
-    return IdPiiSolution(T, xi, S_grid, layers, I_of_S, P_of_S, flags)
+    return IdPiiSolution(T, xi, S_grid, I_of_S, dI, d2I, P_of_S, flags, field_index, fields)
 
 
-def _read(sol, rows, S, xi=None, deriv_xi=False):
-    """Stored rows (one per layer) read at abscissa S.
-
-    With points xi, each of the two layers that bracket S is first read at xi
-    by the cubic 4-point Lagrange stencil (or its xi-derivative); the two are
-    then blended linearly in S.
+def _bracket(S_desc, S):
+    """(j, c): S lies in [S_desc[j + 1], S_desc[j]] of the descending S_desc,
+    and c are the weights there of (f, f', f'') at S_desc[j], then at
+    S_desc[j + 1], in the quintic Hermite interpolant of a function f of S
+    (dense output from value and two derivatives, Hairer, Norsett and Wanner,
+    Solving ODEs I, II.6).  At a stored S the local coordinate
+    t = (S - S_desc[j]) / H is 0 or 1 to the bit, every weight but one is
+    zero, and the read returns the stored value bit for bit.
     """
-    Sg = sol.S_grid  # descending
-    if S > Sg[0] + 1e-12 or S < Sg[-1] - 1e-12:
+    if S > S_desc[0] + 1e-12 or S < S_desc[-1] - 1e-12:
         raise DomainError("S outside the stored range")
-    j = int(np.searchsorted(-Sg, -S, side="right")) - 1
-    j = min(max(j, 0), Sg.size - 2)
-    w = min(max((Sg[j] - S) / (Sg[j] - Sg[j + 1]), 0.0), 1.0)
-    pair = rows[j:j + 2]
-    if xi is not None:
-        xg = sol.xi_grid
-        h = sol.h_xi
-        if np.any(xi < xg[0]) or np.any(xi > xg[-1]):
-            raise DomainError("xi outside the grid")
-        idx = np.clip(((xi - xg[0]) / h).astype(int), 1, xg.size - 3)
-        t = (xi - xg[idx]) / h  # in [-1, 2] nominally, usually [0, 1]
-        # Lagrange basis on stencil offsets (-1, 0, 1, 2)
-        if deriv_xi:
-            l0 = -(3 * t * t - 6 * t + 2.0) / 6.0
-            l1 = (3 * t * t - 4 * t - 1.0) / 2.0
-            l2 = -(3 * t * t - 2 * t - 2.0) / 2.0
-            l3 = (3 * t * t - 1.0) / 6.0
-            l0, l1, l2, l3 = (l / h for l in (l0, l1, l2, l3))
-        else:
-            l0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-            l1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-            l2 = -(t + 1.0) * t * (t - 2.0) / 2.0
-            l3 = (t + 1.0) * t * (t - 1.0) / 6.0
-        pair = (pair[..., idx - 1] * l0 + pair[..., idx] * l1
-                + pair[..., idx + 1] * l2 + pair[..., idx + 2] * l3)
-    return (1.0 - w) * pair[0] + w * pair[1]
+    j = int(np.searchsorted(-S_desc, -S, side="right")) - 1
+    j = min(max(j, 0), S_desc.size - 2)
+    H = S_desc[j + 1] - S_desc[j]
+    t = min(max((S - S_desc[j]) / H, 0.0), 1.0)
+    u = 1.0 - t
+    t3, u3 = t * t * t, u * u * u
+    return j, (u3 * (1.0 + 3.0 * t + 6.0 * t * t), H * t * u3 * (1.0 + 3.0 * t),
+               0.5 * H * H * t * t * u3,
+               t3 * (1.0 + 3.0 * u + 6.0 * u * u), -H * t3 * u * (1.0 + 3.0 * u),
+               0.5 * H * H * t3 * u * u)
+
+
+def _hermite(c, ends):
+    """The quintic Hermite read from the weights c of _bracket and the data
+    ends = ((f, f', f'') at S_desc[j], (f, f', f'') at S_desc[j + 1])."""
+    (f0, d0, e0), (f1, d1, e1) = ends
+    return c[0] * f0 + c[1] * d0 + c[2] * e0 + c[3] * f1 + c[4] * d1 + c[5] * e1
 
 
 def interp_phi(sol, xi, S, deriv_xi=False):
-    """(Phi, dPhi/dS) at (xi, S), cubic in xi and linear in S, on a leading
-    axis of 2: shape (2,) for a scalar xi, (2, len(xi)) for an array."""
-    out = _read(sol, sol.layers, S, np.atleast_1d(np.asarray(xi, dtype=float)), deriv_xi)
+    """(Phi, dPhi/dS) at (xi, S), cubic in xi and quintic Hermite in S, on a
+    leading axis of 2: shape (2,) for a scalar xi, (2, len(xi)) for an array.
+
+    Each of the two field layers that bracket S is read at xi by the cubic
+    4-point Lagrange stencil (or its xi-derivative), applied to the rows of
+    the S-derivatives that the equation gives at that layer: with
+    g = S/T + 2 I/T and g' = (1 + 2 I')/T, Phi has (Phi, dPhi/dS,
+    (xi + g) Phi) and dPhi/dS has (dPhi/dS, (xi + g) Phi,
+    g' Phi + (xi + g) dPhi/dS).  The two are then joined in S.
+    """
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    xg = sol.xi_grid
+    h = sol.h_xi
+    if np.any(x < xg[0]) or np.any(x > xg[-1]):
+        raise DomainError("xi outside the grid")
+    idx = np.clip(((x - xg[0]) / h).astype(int), 1, xg.size - 3)
+    t = (x - xg[idx]) / h  # in [-1, 2] nominally, usually [0, 1]
+    # Lagrange basis on stencil offsets (-1, 0, 1, 2)
+    if deriv_xi:
+        l0 = -(3 * t * t - 6 * t + 2.0) / 6.0
+        l1 = (3 * t * t - 4 * t - 1.0) / 2.0
+        l2 = -(3 * t * t - 2 * t - 2.0) / 2.0
+        l3 = (3 * t * t - 1.0) / 6.0
+        l0, l1, l2, l3 = (l / h for l in (l0, l1, l2, l3))
+    else:
+        l0 = -t * (t - 1.0) * (t - 2.0) / 6.0
+        l1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+        l2 = -(t + 1.0) * t * (t - 2.0) / 2.0
+        l3 = (t + 1.0) * t * (t - 1.0) / 6.0
+    cols = idx + np.array([[-1], [0], [1], [2]])
+    xs = xg[cols]
+    j, c = _bracket(sol.S_fields, S)
+    T = sol.T
+    ends = []
+    for k in (j, j + 1):
+        r = sol.field_index[k]
+        g = sol.S_grid[r] / T + 2.0 * sol.I_of_S[r] / T
+        dg = (1.0 + 2.0 * sol.dI_of_S[r]) / T
+        y, v = sol.fields[k][:, cols]  # (4, len(x)) each: the stencil columns
+        q = xs + g
+        rows = np.array([y, v, q * y, dg * y + q * v])
+        val = rows[:, 0] * l0 + rows[:, 1] * l1 + rows[:, 2] * l2 + rows[:, 3] * l3
+        ends.append((val[0:2], val[1:3], val[2:4]))
+    out = _hermite(c, ends)
     return out if np.ndim(xi) else out[:, 0]
 
 
 def interp_I(sol, S):
-    return float(_read(sol, sol.I_of_S, S))
+    j, c = _bracket(sol.S_grid, S)
+    I, dI, d2I = sol.I_of_S, sol.dI_of_S, sol.d2I_of_S
+    return float(_hermite(c, [(I[k], dI[k], d2I[k]) for k in (j, j + 1)]))
 
 
 def interp_P(sol, S):
-    return float(_read(sol, sol.P_of_S, S))
+    """P at S from (P, dP/dS, d^2P/dS^2) = (P, S/(2T) + I/T, 1/(2T) + I'/T)."""
+    j, c = _bracket(sol.S_grid, S)
+    T = sol.T
+    return float(_hermite(c, [(sol.P_of_S[k], sol.S_grid[k] / (2.0 * T) + sol.I_of_S[k] / T,
+                               1.0 / (2.0 * T) + sol.dI_of_S[k] / T) for k in (j, j + 1)]))
 
 
 def k_infinity(sol, u, v, s, t_param):

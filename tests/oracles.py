@@ -23,12 +23,14 @@ el_residual integrates the log potential by graded panel quadrature in the
 angle, a route independent of the cosine expansion that gives ell in
 airylab.equilibrium.
 
-Id-PII reads: the stored solution read one quantity at a time, as
-layer_read (a cubic stencil in xi on each of the two bracketing layers, then
-the linear blend in S) on Phi, dPhi, I and P separately, and k_infinity built
-from two such reads (four on the diagonal).  airylab.idpii reads Phi and
-dPhi together from one store in the same order of operations, so the tests
-require bitwise equality with these.
+Id-PII reads: scalar_read (I or P) and field_read (Phi and dPhi) build
+scipy's piecewise quintic Hermite interpolant, BPoly.from_derivatives, over
+every stored layer from each layer's value and first two S-derivatives, the
+derivatives of the fields formed on the whole xi grid from the equation and
+then read at xi by the cubic Lagrange stencil; k_infinity is built from
+field_read.  airylab.idpii brackets S itself, forms the derivatives only on
+the stencil columns and writes the quintic out, so the tests require
+agreement with these to rounding.
 
 Airy kernels: the pointwise classical kernel airy_kernel and the
 finite-temperature kernel ft_airy_kernel, which the tests compare entry by
@@ -42,6 +44,7 @@ independent of the panel quadrature of airylab.special.f_beta_quad.
 import math
 
 import numpy as np
+from scipy.interpolate import BPoly
 
 from airylab.ensemble import DROP_TOL, EnsembleGrid, RecurrenceTable
 from airylab.errors import ConvergenceError, DomainError
@@ -292,50 +295,78 @@ def ft_airy_kernel(u, v, T):
     return float(np.sum(f * scheme.weights))
 
 
-def layer_read(sol, rows, S, xi=None, deriv=False):
-    """One stored quantity (rows: one per layer) read at S, and at points xi.
+def _lagrange_stencil(sol, xi, deriv):
+    """Row -> its value (or xi-derivative) at the points xi by the 4-point
+    Lagrange stencil on offsets (-1, 0, 1, 2) of the xi grid."""
+    xg = sol.xi_grid
+    h = xg[1] - xg[0]
+    idx = np.clip(((xi - xg[0]) / h).astype(int), 1, xg.size - 3)
+    t = (xi - xg[idx]) / h
+    if deriv:
+        basis = (-(3 * t * t - 6 * t + 2.0) / 6.0, (3 * t * t - 4 * t - 1.0) / 2.0,
+                 -(3 * t * t - 2 * t - 2.0) / 2.0, (3 * t * t - 1.0) / 6.0)
+        basis = [b / h for b in basis]
+    else:
+        basis = (-t * (t - 1.0) * (t - 2.0) / 6.0, (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                 -(t + 1.0) * t * (t - 2.0) / 2.0, (t + 1.0) * t * (t - 1.0) / 6.0)
 
-    The two layers that bracket S are each read at xi by the 4-point Lagrange
-    stencil on offsets (-1, 0, 1, 2), or its xi-derivative, and the two values
-    are then blended linearly in S.
-    """
-    Sg = sol.S_grid  # descending
-    if S > Sg[0] + 1e-12 or S < Sg[-1] - 1e-12:
+    def stencil(row):
+        return (row[idx - 1] * basis[0] + row[idx] * basis[1]
+                + row[idx + 1] * basis[2] + row[idx + 2] * basis[3])
+
+    return stencil
+
+
+def _check_range(S_desc, S):
+    if S > S_desc[0] + 1e-12 or S < S_desc[-1] - 1e-12:
         raise DomainError("S outside the stored range")
-    j = min(max(int(np.searchsorted(-Sg, -S, side="right")) - 1, 0), Sg.size - 2)
-    w = min(max((Sg[j] - S) / (Sg[j] - Sg[j + 1]), 0.0), 1.0)
-    lo, hi = rows[j], rows[j + 1]
-    if xi is not None:
-        xg = sol.xi_grid
-        h = xg[1] - xg[0]
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        idx = np.clip(((xi - xg[0]) / h).astype(int), 1, xg.size - 3)
-        t = (xi - xg[idx]) / h
-        if deriv:
-            basis = (-(3 * t * t - 6 * t + 2.0) / 6.0, (3 * t * t - 4 * t - 1.0) / 2.0,
-                     -(3 * t * t - 2 * t - 2.0) / 2.0, (3 * t * t - 1.0) / 6.0)
-            basis = [b / h for b in basis]
-        else:
-            basis = (-t * (t - 1.0) * (t - 2.0) / 6.0, (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-                     -(t + 1.0) * t * (t - 2.0) / 2.0, (t + 1.0) * t * (t - 1.0) / 6.0)
 
-        def stencil(row):
-            return (row[idx - 1] * basis[0] + row[idx] * basis[1]
-                    + row[idx + 1] * basis[2] + row[idx + 2] * basis[3])
 
-        lo, hi = stencil(lo), stencil(hi)
-    return (1.0 - w) * lo + w * hi
+def scalar_read(sol, S, which):
+    """I or P at S: scipy's piecewise quintic from (value, first, second
+    S-derivative) on every stored layer, the derivatives of P from
+    dP/dS = S/(2T) + I/T."""
+    Sg, T = sol.S_grid, sol.T
+    _check_range(Sg, S)
+    if which == "I":
+        data = (sol.I_of_S, sol.dI_of_S, sol.d2I_of_S)
+    else:
+        data = (sol.P_of_S, Sg / (2.0 * T) + sol.I_of_S / T, 1.0 / (2.0 * T) + sol.dI_of_S / T)
+    yi = np.stack(data, axis=1)[::-1]
+    return float(BPoly.from_derivatives(Sg[::-1], yi)(S))
+
+
+def field_read(sol, S, xi, deriv=False):
+    """(Phi, dPhi) at (xi, S), shape (2, len(xi)).
+
+    On every field layer the rows of (Phi, dPhi) and of their first and second
+    S-derivatives from the equation, (dPhi, (xi + g) Phi) and ((xi + g) Phi,
+    g' Phi + (xi + g) dPhi) with g = S/T + 2 I/T and g' = (1 + 2 I')/T, are
+    formed on the whole xi grid and read at xi by the Lagrange stencil;
+    scipy's piecewise quintic in S joins the layers.
+    """
+    _check_range(sol.S_fields, S)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    stencil = _lagrange_stencil(sol, xi, deriv)
+    T, xg = sol.T, sol.xi_grid
+    yi = []
+    for k, j in enumerate(sol.field_index):
+        g = sol.S_grid[j] / T + 2.0 * sol.I_of_S[j] / T
+        dg = (1.0 + 2.0 * sol.dI_of_S[j]) / T
+        phi, dphi = sol.Phi[k], sol.dPhi[k]
+        acc = (xg + g) * phi
+        rows = [(phi, dphi), (dphi, acc), (acc, dg * phi + (xg + g) * dphi)]
+        yi.append([[stencil(r) for r in pair] for pair in rows])
+    return BPoly.from_derivatives(sol.S_fields[::-1], np.array(yi)[::-1])(S)
 
 
 def k_infinity(sol, u, v, s, t_param):
-    """K_inf(u, v | s, t) from separate reads of Phi and dPhi at S = s t^{-3/2}."""
+    """K_inf(u, v | s, t) from field_read at S = s t^{-3/2}."""
     S = s * t_param ** (-1.5)
     xs = np.array([-s + t_param * u, -s + t_param * v])
-    p1 = layer_read(sol, sol.Phi, S, xs)
-    p2 = layer_read(sol, sol.dPhi, S, xs)
+    p1, p2 = field_read(sol, S, xs)
     if abs(u - v) < 1e-6:
-        d1 = t_param * layer_read(sol, sol.Phi, S, xs, deriv=True)
-        d2 = t_param * layer_read(sol, sol.dPhi, S, xs, deriv=True)
+        d1, d2 = t_param * field_read(sol, S, xs, deriv=True)
         return float(d1[0] * p2[0] - p1[0] * d2[0])
     return float((p1[0] * p2[1] - p1[1] * p2[0]) / (u - v))
 

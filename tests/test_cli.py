@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from airylab import cli, equilibrium, fredholm
+from airylab import cli, ensemble, equilibrium, fredholm
 from airylab.cli import (ConfigError, LabConfig, ResultRecord, emit, main,
                          parse_config, run_theorem1)
 from airylab.ensemble import build_tables, rescaled_edge_kernel
@@ -139,7 +139,7 @@ class TestRunners:
         rows = {r.params[0]: r for r in records if r.study == "theorem1"}
         assert rows[16].verdict == "pass"
         assert rows[768].verdict == "failed"
-        assert "build_tables at n=768" in rows[768].aux["error"]
+        assert "build_grid at n=768" in rows[768].aux["error"]
 
     def test_theorem1_point_past_the_det_accuracy_fails(self, monkeypatch):
         # the target refuses |s| > 12 by itself; a stand-in lets the points run
@@ -205,6 +205,30 @@ class TestRunners:
         assert calls == []
         assert {r.study for r in records} == {"theorem3", "theorem3-universality"}
         assert all(r.verdict == "pass" for r in records)
+
+
+class TestTablesWhereRead:
+    """Each study runs the Stieltjes recurrences whose tables it reads."""
+
+    # n_list [16, 32], s_list [0, 1]: theorem1 reads the s-independent
+    # undeformed table once per n and the deformed one per (n, s); theorem2
+    # and theorem3 (two deformations) only the deformed one; crosschecks only
+    # the undeformed one, at the first n
+    @pytest.mark.parametrize("study, calls", [
+        ("theorem1", 2 + 2 * 2), ("theorem2", 2), ("theorem3", 2 * 2 * 2),
+        ("crosschecks", 1), ("fredholm", 0), ("idpii-solve", 0), ("eqmeasure", 0),
+    ])
+    def test_recurrences_per_study(self, monkeypatch, study, calls):
+        count = []
+        recurrence = ensemble.stieltjes_recurrence
+
+        def spy(*args, **kwargs):
+            count.append(1)
+            return recurrence(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "stieltjes_recurrence", spy)
+        cli._STUDIES[study](LabConfig({"n_list": [16, 32], "s_list": [0.0, 1.0]}))
+        assert len(count) == calls
 
 
 class _Solved(Exception):

@@ -369,13 +369,13 @@ class TestStreamedRecurrences:
 
 class TestRecurrenceRange:
     """The recurrences start from e^{-nV/2}: past the n where that leaves the
-    normal floats on the support, build_tables refuses (n = 709 on 2(1+x)^2)."""
+    normal floats on the support, build_grid refuses (n = 709 on 2(1+x)^2)."""
 
     def test_start_below_normal_floats_raises(self, eq_sgue, q_linear):
         with pytest.raises(BreakdownError) as exc:
             build_tables(eq_sgue, q_linear, 768, 0.0)
         msg = str(exc.value)
-        assert "build_tables at n=768" in msg and "support node x=" in msg
+        assert "build_grid at n=768" in msg and "support node x=" in msg
 
     def test_inside_the_range_tables_unchanged(self, eq_sgue, q_linear):
         n = 704
