@@ -3,9 +3,10 @@
 The batch front end reads a JSON configuration, runs one of the studies
 (limit of the multiplicative statistic, edge-kernel convergence, norming
 constant corrections, or the cross-check battery), and writes the results as
-CSV or JSON records.  Output is deterministic: records are sorted by
-parameter tuple and floats are printed with 17 significant digits, so that a
-rerun with the same configuration is byte-identical.
+CSV or JSON records.  Output is deterministic: records are sorted by study,
+then by the text of each parameter (so n = 128 comes before n = 16), and
+floats are printed with 17 significant digits, so that a rerun with the same
+configuration is byte-identical.
 
 CSV column order (stable): study, params, value, aux, verdict, config_hash.
 Exit codes: 0 all checks pass, 1 some check failed, 2 configuration error,
@@ -226,9 +227,9 @@ def _solve_idpii(cfg, t, s_read):
         raise ConfigError(f"id-PII at t = {t}, T = {T} is read at S = {above}, above "
                           f"idpii_s_max = {cfg.idpii_s_max}")
     S_min = min([-2.0] + S_read.tolist())
-    # 4 steps per stored layer; the slack keeps a width that is a whole number
-    # of layers, such as 14 / 0.02 = 700 (2800 steps), from rounding up to one more
-    n_steps = 4 * math.ceil((cfg.idpii_s_max - S_min) / 0.02 - 1e-9)
+    # the slack keeps a width that is a whole number of steps, such as
+    # (14.06 + 2) / 0.005 = 3212.0000000000005 in floats, from rounding up to one more
+    n_steps = math.ceil((cfg.idpii_s_max - S_min) / 0.005 - 1e-9)
     try:
         return solve_idpii(T, S_min=S_min, S_max=cfg.idpii_s_max, n_steps=n_steps)
     except DomainError as exc:

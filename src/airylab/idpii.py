@@ -11,14 +11,14 @@ by classical RK4, in closed form since the equation is linear in Phi once the
 scalar I(S) is known (derivation in solve_idpii).  The anti-derivative P, with
 dP/dS = S/(2T) + I(S)/T and P(S_max) = S_max^2/(4T), rides along as a scalar.
 
-The solution keeps I, its first two S-derivatives and P every 4 steps, and
-the field rows (Phi, dPhi/dS) every 16 steps.  Reads between layers are
-quintic Hermite in S from each end's value and two S-derivatives, which the
-equation itself supplies: d^2 Phi/dS^2 = (xi + S/T + 2I/T) Phi, and I', I''
-come from the moments of the march.  The limiting edge kernel K_infinity at
-(s, t) reads (Phi, dPhi/dS) this way at the (S, T) that limit_coordinates
-gives, and diagnostics compare second S-derivatives of log-Fredholm
-determinants with I(S).
+The solution keeps I, its first two S-derivatives, P and the field rows
+(Phi, dPhi/dS) on one S axis, every 16 steps and at the last.  Reads between
+layers are quintic Hermite in S from each end's value and two S-derivatives,
+which the equation itself supplies: d^2 Phi/dS^2 = (xi + S/T + 2I/T) Phi,
+and I', I'' come from the moments of the march.  The limiting edge kernel
+K_infinity at (s, t) reads (Phi, dPhi/dS) this way at the (S, T) that
+limit_coordinates gives, and diagnostics compare second S-derivatives of
+log-Fredholm determinants with I(S).
 """
 
 import math
@@ -32,15 +32,14 @@ from .special import airy_ai, airy_ai_prime, fermi_weight
 class IdPiiSolution:
     """Stored layers of the downward integration.
 
-    S_grid is descending, a layer every 4 RK4 steps: I_of_S, dI_of_S and
-    d2I_of_S (I and its first two S-derivatives), P_of_S and
-    truncation_flags are on it.  The field layers fields[k] = (Phi, dPhi/dS)
-    are stored every 16 steps and at the last, at S_fields[k] =
-    S_grid[field_index[k]]; Phi and dPhi are views of their two rows.
+    S_grid is descending, a layer every 16 RK4 steps and at the last: I_of_S,
+    dI_of_S and d2I_of_S (I and its first two S-derivatives), P_of_S,
+    truncation_flags and the field rows fields[k] = (Phi, dPhi/dS) are on it.
+    Phi and dPhi are views of the two rows.
     """
 
     def __init__(self, T, xi_grid, S_grid, I_of_S, dI_of_S, d2I_of_S, P_of_S,
-                 truncation_flags, field_index, fields):
+                 truncation_flags, fields):
         self.T = T
         self.xi_grid = xi_grid
         self.S_grid = S_grid
@@ -49,8 +48,6 @@ class IdPiiSolution:
         self.d2I_of_S = d2I_of_S
         self.P_of_S = P_of_S
         self.truncation_flags = truncation_flags
-        self.field_index = field_index
-        self.S_fields = S_grid[field_index]
         self.fields = fields
         self.Phi = fields[:, 0]
         self.dPhi = fields[:, 1]
@@ -81,14 +78,14 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                 h_xi=0.04, n_steps=2800):
     """Integrate the integro-differential Painleve II system downward in S.
 
-    Returns an IdPiiSolution with the scalars I, I', I'' and P stored every
-    4 RK4 steps, and the field rows (Phi, dPhi/dS) every 16 steps and at the
-    last: 176 field layers of 2 x 1126 floats, 3.2 MB, on the default grid.
-    A boundary-truncation guard flags (without aborting) the 4-step layers
-    where the integrand Phi^2 * fermi_weight at the grid ends exceeds 1e-10
-    of its maximum.  A T whose Airy start data leave the domain of airy_ai, or
-    underflow at xi = 0, is refused, and a step after which Phi, dPhi/dS or P
-    is not finite raises BlowUpError.
+    Returns an IdPiiSolution with the scalars I, I', I'', P and the field rows
+    (Phi, dPhi/dS) stored every 16 RK4 steps and at the last (any n_steps
+    >= 1): 176 layers, the fields 2 x 1126 floats each, 3.2 MB, on the
+    default grid.  A boundary-truncation guard flags (without aborting) the
+    stored layers where the integrand Phi^2 * fermi_weight at the grid ends
+    exceeds 1e-10 of its maximum.  A T whose Airy start data leave the domain
+    of airy_ai, or underflow at xi = 0, is refused, and a step after which
+    Phi, dPhi/dS or P is not finite raises BlowUpError.
 
     The march is classical RK4 on the first-order system (y, v, P), y = Phi,
     v = dPhi/dS, in Runge-Kutta-Nystrom form (Hairer, Norsett and Wanner,
@@ -116,8 +113,8 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
         raise DomainError("T must be positive")
     if S_max <= S_min:
         raise DomainError("need S_max > S_min")
-    if n_steps % 4 != 0:
-        raise DomainError("n_steps must be a multiple of 4, the storage stride")
+    if n_steps < 1:
+        raise DomainError(f"n_steps = {n_steps}: need at least one step")
     n_xi = int(round((xi_hi - xi_lo) / h_xi)) + 1
     if n_xi < 3:
         raise DomainError("need at least three xi samples")
@@ -153,12 +150,10 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     xi2, wq2 = np.array([xi, xi]), np.array([wq, wq])
     wy, mom, coef = np.empty((2, n_xi)), np.empty((6, 2)), np.empty((2, 6))
 
-    n_layers = n_steps // 4 + 1
+    n_layers = (n_steps + 15) // 16 + 1
     S_grid, I_of_S, dI, d2I, P_of_S = np.empty((5, n_layers))
     flags = np.zeros(n_layers, dtype=bool)
-    # the field layers: every fourth 4-step layer, and the last
-    field_index = np.minimum(4 * np.arange((n_steps + 15) // 16 + 1), n_layers - 1)
-    fields = np.empty((field_index.size, 2, n_xi))
+    fields = np.empty((n_layers, 2, n_xi))
     h = (S_min - S_max) / n_steps
     hh = h * h
     h2, hh4, hh2, hhh4 = 0.5 * h, 0.25 * hh, 0.5 * hh, 0.25 * hh * h
@@ -178,8 +173,8 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
             raise BlowUpError(f"id-PII state became non-finite at step {i}", step=i)
         I1 = m[0]
         g1 = S / T + 2.0 * I1 / T
-        if i % 4 == 0:
-            layer = i // 4
+        if i % 16 == 0 or i == n_steps:
+            layer = (i + 15) // 16
             S_grid[layer] = S
             I_of_S[layer] = I1
             dI[layer] = 2.0 * m[1]
@@ -188,8 +183,7 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
             integrand = basis[0, 0] * basis[0, 0] * w_xi
             peak = max(float(np.max(integrand)), 1e-300)
             flags[layer] = max(integrand[0], integrand[-1]) > 1e-10 * peak
-            if i % 16 == 0 or i == n_steps:
-                fields[(i + 15) // 16] = basis[0]
+            fields[layer] = basis[0]
         if i == n_steps:
             break
         S_h, S_e = S + 0.5 * h, S + h
@@ -214,7 +208,7 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
                     c_v * (2.0 * h + g4 * hhh4 + b4), c_v * hh, c_v * hhh4))
         np.matmul(coef, basis.reshape(6, n_xi), out=spare[0])
         basis, spare = spare, basis
-    return IdPiiSolution(T, xi, S_grid, I_of_S, dI, d2I, P_of_S, flags, field_index, fields)
+    return IdPiiSolution(T, xi, S_grid, I_of_S, dI, d2I, P_of_S, flags, fields)
 
 
 def _bracket(S_desc, S):
@@ -251,7 +245,7 @@ def interp_phi(sol, xi, S, deriv_xi=False):
     """(Phi, dPhi/dS) at (xi, S), cubic in xi and quintic Hermite in S, on a
     leading axis of 2: shape (2,) for a scalar xi, (2, len(xi)) for an array.
 
-    Each of the two field layers that bracket S is read at xi by the cubic
+    Each of the two stored layers that bracket S is read at xi by the cubic
     4-point Lagrange stencil (or its xi-derivative), applied to the rows of
     the S-derivatives that the equation gives at that layer: with
     g = S/T + 2 I/T and g' = (1 + 2 I')/T, Phi has (Phi, dPhi/dS,
@@ -279,13 +273,12 @@ def interp_phi(sol, xi, S, deriv_xi=False):
         l3 = (t + 1.0) * t * (t - 1.0) / 6.0
     cols = idx + np.array([[-1], [0], [1], [2]])
     xs = xg[cols]
-    j, c = _bracket(sol.S_fields, S)
+    j, c = _bracket(sol.S_grid, S)
     T = sol.T
     ends = []
     for k in (j, j + 1):
-        r = sol.field_index[k]
-        g = sol.S_grid[r] / T + 2.0 * sol.I_of_S[r] / T
-        dg = (1.0 + 2.0 * sol.dI_of_S[r]) / T
+        g = sol.S_grid[k] / T + 2.0 * sol.I_of_S[k] / T
+        dg = (1.0 + 2.0 * sol.dI_of_S[k]) / T
         y, v = sol.fields[k][:, cols]  # (4, len(x)) each: the stencil columns
         q = xs + g
         rows = np.array([y, v, q * y, dg * y + q * v])

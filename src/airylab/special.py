@@ -61,21 +61,17 @@ _U_COEF, _V_COEF = _asy_coeffs()
 
 
 def _asy_sum(zeta, coef):
-    """Sum_k (-1)^k coef[k] zeta^{-k}, truncated at the smallest term.
+    """Sum_k (-1)^k coef[k] zeta^{-k} over all _N_ASY terms.
 
-    Sums in the float type of zeta; the powers are a running product.
+    Sums in the float type of zeta; the powers are a running product.  From
+    x = _ASY_POS on the terms decrease, the last below 1e-24 of the sum.
     """
     coef = coef.astype(zeta.dtype)
     inv = 1 / zeta
     power = np.ones_like(zeta)
     total = np.zeros_like(zeta)
-    active = np.ones(zeta.shape, dtype=bool)
-    prev = np.full_like(zeta, np.inf)
     for k in range(_N_ASY):
-        term = coef[k] * power
-        active &= np.abs(term) <= prev
-        total = np.where(active, total + (-1) ** k * term, total)
-        prev = np.where(active, np.abs(term), prev)
+        total = total + (-1) ** k * (coef[k] * power)
         power = power * inv
     return total
 

@@ -339,25 +339,24 @@ def scalar_read(sol, S, which):
 def field_read(sol, S, xi, deriv=False):
     """(Phi, dPhi) at (xi, S), shape (2, len(xi)).
 
-    On every field layer the rows of (Phi, dPhi) and of their first and second
+    On every stored layer the rows of (Phi, dPhi) and of their first and second
     S-derivatives from the equation, (dPhi, (xi + g) Phi) and ((xi + g) Phi,
     g' Phi + (xi + g) dPhi) with g = S/T + 2 I/T and g' = (1 + 2 I')/T, are
     formed on the whole xi grid and read at xi by the Lagrange stencil;
     scipy's piecewise quintic in S joins the layers.
     """
-    _check_range(sol.S_fields, S)
+    _check_range(sol.S_grid, S)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     stencil = _lagrange_stencil(sol, xi, deriv)
     T, xg = sol.T, sol.xi_grid
     yi = []
-    for k, j in enumerate(sol.field_index):
-        g = sol.S_grid[j] / T + 2.0 * sol.I_of_S[j] / T
-        dg = (1.0 + 2.0 * sol.dI_of_S[j]) / T
-        phi, dphi = sol.Phi[k], sol.dPhi[k]
+    for S_k, I_k, dI_k, (phi, dphi) in zip(sol.S_grid, sol.I_of_S, sol.dI_of_S, sol.fields):
+        g = S_k / T + 2.0 * I_k / T
+        dg = (1.0 + 2.0 * dI_k) / T
         acc = (xg + g) * phi
         rows = [(phi, dphi), (dphi, acc), (acc, dg * phi + (xg + g) * dphi)]
         yi.append([[stencil(r) for r in pair] for pair in rows])
-    return BPoly.from_derivatives(sol.S_fields[::-1], np.array(yi)[::-1])(S)
+    return BPoly.from_derivatives(sol.S_grid[::-1], np.array(yi)[::-1])(S)
 
 
 def k_infinity(sol, u, v, s, t_param):

@@ -256,26 +256,26 @@ def test_criterion_13_idpii_internal(sol_t1):
     keep = arg <= 150.0
     init_err = max(float(np.max(np.abs(sol_t1.Phi[0][keep] - airy_ai(arg[keep])))),
                    float(np.max(np.abs(sol_t1.dPhi[0][keep] - airy_ai_prime(arg[keep])))))
-    # ODE self-residual (5-point stencil in S) on the field layers of a solve
-    # that stores them 0.02 apart: 11,200 steps on [-2, 12]
+    # ODE self-residual (5-point stencil in S) on the layers of a solve that
+    # stores them 0.02 apart: 11,200 steps on [-2, 12]
     fine = solve_idpii(1.0, n_steps=11200)
-    h = fine.S_fields[0] - fine.S_fields[1]
+    h = fine.S_grid[0] - fine.S_grid[1]
     resid = 0.0
-    for j in range(50, fine.S_fields.size - 3, 50):
+    for j in range(50, fine.S_grid.size - 3, 50):
         d2 = (-fine.Phi[j - 2] + 16 * fine.Phi[j - 1] - 30 * fine.Phi[j]
               + 16 * fine.Phi[j + 1] - fine.Phi[j + 2]) / (12 * h * h)
-        coef = fine.xi_grid + fine.S_fields[j] + 2.0 * fine.I_of_S[fine.field_index[j]]
+        coef = fine.xi_grid + fine.S_grid[j] + 2.0 * fine.I_of_S[j]
         rhs = coef * fine.Phi[j]
         mask = np.abs(fine.Phi[j]) > 1e-6
         # floor the denominator at 1e-3 of the layer scale: at turning points
         # the right-hand side itself vanishes and a pointwise ratio is noise
         denom = np.maximum(np.abs(rhs[mask]), 1e-3 * float(np.max(np.abs(rhs))))
         resid = max(resid, float(np.max(np.abs(d2 - rhs)[mask] / denom)))
-    # step-doubling stability at a probe point, on a field layer of both
+    # step-doubling stability at a probe point, on a stored layer of both
     coarse = solve_idpii(1.0, n_steps=1400)
     i0 = np.argmin(np.abs(sol_t1.xi_grid))
-    j0 = np.argmin(np.abs(sol_t1.S_fields))
-    jc = np.argmin(np.abs(coarse.S_fields - sol_t1.S_fields[j0]))
+    j0 = np.argmin(np.abs(sol_t1.S_grid))
+    jc = np.argmin(np.abs(coarse.S_grid - sol_t1.S_grid[j0]))
     stab = abs(sol_t1.Phi[j0, i0] - coarse.Phi[jc, i0])
     nonneg = bool(np.all(sol_t1.I_of_S >= 0.0))
     ok = init_err < 1e-13 and resid <= 5e-4 and stab < 1e-6 and nonneg

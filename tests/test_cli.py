@@ -95,6 +95,14 @@ class TestEmission:
         assert lines[1].startswith("study,1;")
         assert lines[2].startswith("study,2;")
 
+    def test_parameters_sort_as_text(self, tmp_path):
+        # the sort key is the text of each parameter, not its number
+        cfg = write_config(tmp_path, {"n_list": [16, 128, 512]})
+        assert main(["theorem1", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "theorem1.csv").read_text().splitlines()[1:]
+        n = [r.split(",")[1].split(";")[0] for r in rows if r.startswith("theorem1,")]
+        assert n == ["128", "128", "16", "16", "512", "512"]
+
     def test_float_round_trip_17_digits(self, tmp_path):
         path = tmp_path / "r.csv"
         emit(self.make_records(), "csv", str(path))
@@ -258,7 +266,7 @@ class TestIdPiiWindow:
     @pytest.mark.parametrize("data, window", [
         ({}, (-2.0, 12.0, 0.04, 2800)),
         ({"idpii_s_max": 40.0}, (-2.0, 40.0, 0.04, 8400)),
-        # 16.06 / 0.02 is 803.0000000000001 in floats: a plain ceiling gives 804 layers
+        # 16.06 / 0.005 is 3212.0000000000005 in floats: a plain ceiling gives 3213 steps
         ({"idpii_s_max": 14.06}, (-2.0, 14.06, 0.04, 3212)),
     ])
     def test_steps_of_0_005(self, monkeypatch, data, window):
@@ -274,7 +282,7 @@ class TestIdPiiWindow:
         t = cli._setup(LabConfig({}))[2]
         S_read = [limit_coordinates(s, t)[0] for s in s_list]
         assert S_min == min(S_read) < -2.0 and max(S_read) <= S_max == 12.0
-        assert (S_max - S_min) / n_steps <= 0.005 < (S_max - S_min) / (n_steps - 4)
+        assert (S_max - S_min) / n_steps <= 0.005 < (S_max - S_min) / (n_steps - 1)
 
 
 class TestTheorem1Target:

@@ -7,8 +7,8 @@ import pytest
 
 from airylab.errors import BlowUpError, DomainError
 from airylab.fredholm import fredholm_det_ft
-from airylab.idpii import (IdPiiSolution, interp_I, interp_P, interp_phi, k_infinity,
-                           limit_coordinates, solve_idpii, tw_local_check)
+from airylab.idpii import (interp_I, interp_P, interp_phi, k_infinity, limit_coordinates,
+                           solve_idpii, tw_local_check)
 from airylab.special import airy_ai, airy_ai_prime, fermi_weight
 
 import oracles
@@ -36,8 +36,8 @@ def _packed_rk4_march(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     """The id-PII march as classical RK4 on the packed first-order state
     y = (Phi, dPhi/dS, P): an oracle for solve_idpii's closed-form
     Runge-Kutta-Nystrom march, with the same start data, quadrature and
-    truncation guard (a layer every 4 steps, flagged when Phi^2 w at an end
-    exceeds 1e-10 of its peak).
+    truncation guard (a layer every 16 steps and at the last, flagged when
+    Phi^2 w at an end exceeds 1e-10 of its peak).
 
     Returns (S_grid, Phi, dPhi, I_of_S, P_of_S, flags) on the stored layers.
     """
@@ -60,7 +60,7 @@ def _packed_rk4_march(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     layers = []
     for i in range(n_steps + 1):
         S = S_max + h * i
-        if i % 4 == 0:
+        if i % 16 == 0 or i == n_steps:
             ph = y[:n_xi]
             integrand = ph * ph * w_xi
             peak = max(float(np.max(integrand)), 1e-300)
@@ -83,7 +83,7 @@ def sol():
 
 @pytest.fixture(scope="module")
 def fine():
-    """Field layers 0.02 apart in S: 11,200 steps on [-2, 12]."""
+    """Layers 0.02 apart in S: 11,200 steps on [-2, 12]."""
     return solve_idpii(1.0, n_steps=11200)
 
 
@@ -115,16 +115,16 @@ class TestSolver:
 
     def test_ode_self_residual(self, fine):
         # second S-difference of stored Phi vs the right-hand side, with the
-        # field layers 0.02 apart (at 0.08 the stencil alone gives 7.2e-3)
+        # layers 0.02 apart (at 0.08 the stencil alone gives 7.2e-3)
         sol = fine
-        h = sol.S_fields[0] - sol.S_fields[1]
+        h = sol.S_grid[0] - sol.S_grid[1]
         assert h == pytest.approx(0.02, rel=1e-12)
         worst = 0.0
-        for j in range(100, sol.S_fields.size - 3, 97):
+        for j in range(100, sol.S_grid.size - 3, 97):
             d2 = (-sol.Phi[j - 2] + 16.0 * sol.Phi[j - 1] - 30.0 * sol.Phi[j]
                   + 16.0 * sol.Phi[j + 1] - sol.Phi[j + 2]) / (12.0 * h * h)
-            S = sol.S_fields[j]
-            coef = sol.xi_grid + S / sol.T + 2.0 * sol.I_of_S[sol.field_index[j]] / sol.T
+            S = sol.S_grid[j]
+            coef = sol.xi_grid + S / sol.T + 2.0 * sol.I_of_S[j] / sol.T
             rhs = coef * sol.Phi[j]
             mask = np.abs(sol.Phi[j]) > 1e-6
             # denominator floored at the layer scale (turning points have
@@ -157,9 +157,9 @@ class TestSolver:
         s = solve_idpii(1.0, xi_lo=-10.0, xi_hi=5.0, h_xi=h_xi, n_steps=400)
         assert s.xi_grid.size == n_xi
         w = fermi_weight(s.xi_grid)
-        for k, j in enumerate(s.field_index):
-            ref = _simpson_trapezoid(s.Phi[k] ** 2 * w, h_xi)
-            assert s.I_of_S[j] == pytest.approx(ref, rel=1e-14, abs=0.0)
+        for phi, I in zip(s.Phi, s.I_of_S):
+            ref = _simpson_trapezoid(phi ** 2 * w, h_xi)
+            assert I == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_derivatives_of_i_match_simpson_oracle(self):
         # I' = 2 int Phi dPhi w and I'' = 2 int (dPhi^2 + (xi + g) Phi^2) w,
@@ -169,19 +169,18 @@ class TestSolver:
         s = solve_idpii(T, xi_lo=-10.0, xi_hi=5.0, h_xi=0.04, n_steps=400)
         w = fermi_weight(s.xi_grid)
         d1, d2 = [], []
-        for k, j in enumerate(s.field_index):
-            phi, dphi = s.Phi[k], s.dPhi[k]
-            g = s.S_grid[j] / T + 2.0 * s.I_of_S[j] / T
-            d1.append((s.dI_of_S[j], 2.0 * _simpson_trapezoid(phi * dphi * w, 0.04)))
-            d2.append((s.d2I_of_S[j], 2.0 * _simpson_trapezoid(
+        for k, (phi, dphi) in enumerate(s.fields):
+            g = s.S_grid[k] / T + 2.0 * s.I_of_S[k] / T
+            d1.append((s.dI_of_S[k], 2.0 * _simpson_trapezoid(phi * dphi * w, 0.04)))
+            d2.append((s.d2I_of_S[k], 2.0 * _simpson_trapezoid(
                 (dphi * dphi + (s.xi_grid + g) * phi * phi) * w, 0.04)))
         for pairs in (np.array(d1), np.array(d2)):
             got, ref = pairs.T
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_peak_memory_and_field_count(self, sol):
-        # fields every 16 steps: 176 x 2 x 1126 x 8 B = 3.2 MB on the default
-        # grid, where a layer every 4 steps took 12.6 MB
+        # a layer every 16 steps and at the last: the fields take
+        # 176 x 2 x 1126 x 8 B = 3.2 MB on the default grid
         tracemalloc.start()
         try:
             solve_idpii(1.0)
@@ -189,12 +188,22 @@ class TestSolver:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5e6
-        for n_steps in (2800, 2804, 2808, 2812, 400, 4):
-            s = solve_idpii(1.0, S_min=12.0 - 0.005 * n_steps, n_steps=n_steps)
+        # any n_steps >= 1 runs: 2801 steps give 177 layers and 1 step gives 2
+        for n_steps in (2800, 2801, 2804, 2808, 2812, 400, 4, 1):
+            S_min = 12.0 - 0.005 * n_steps
+            s = solve_idpii(1.0, S_min=S_min, n_steps=n_steps)
             count = n_steps // 16 + 1 + (n_steps % 16 != 0)
             assert s.fields.shape == (count, 2, s.xi_grid.size)
-            assert s.S_fields[0] == s.S_grid[0] and s.S_fields[-1] == s.S_grid[-1]
-            assert np.array_equal(s.S_fields[:-1], s.S_grid[:4 * (count - 1):4])
+            for scalars in (s.S_grid, s.I_of_S, s.dI_of_S, s.d2I_of_S, s.P_of_S,
+                            s.truncation_flags):
+                assert scalars.shape == (count,)
+            S_all = 12.0 + (S_min - 12.0) / n_steps * np.arange(n_steps + 1)
+            assert np.array_equal(s.S_grid, S_all[np.unique(np.r_[0:n_steps + 1:16, n_steps])])
+
+    @pytest.mark.parametrize("n_steps", [0, -4])
+    def test_step_count_below_one_refused(self, n_steps):
+        with pytest.raises(DomainError, match=rf"n_steps = {n_steps}: "):
+            solve_idpii(1.0, n_steps=n_steps)
 
     def test_low_temperature_data_grows_from_the_far_tail(self):
         # at T = 1/16 the starting arguments T^{2/3} xi + S_max T^{-1/3} pass 30
@@ -234,8 +243,7 @@ class TestSolver:
         # the closed-form Nystrom march is the packed RK4 with its arithmetic
         # regrouped: at T = 1 they agree to rounding; at T = 1/16 the data
         # grows from about 3e-49 and the rounding grows with it.  Each difference is
-        # relative to the largest value of its layer (P: of the whole run).
-        # Fields are compared on the field layers, the scalars every 4 steps
+        # relative to the largest value of its layer (P: of the whole run)
         S_ref, Phi_ref, dPhi_ref, I_ref, P_ref, flags_ref = _packed_rk4_march(T)
         s = solve_idpii(T)
 
@@ -243,8 +251,8 @@ class TestSolver:
             return np.max(np.abs(a - b), axis=-1) / np.max(np.abs(b), axis=-1)
 
         assert np.array_equal(s.S_grid, S_ref)
-        assert np.max(layer_rel(s.Phi, Phi_ref[s.field_index])) <= tol
-        assert np.max(layer_rel(s.dPhi, dPhi_ref[s.field_index])) <= tol
+        assert np.max(layer_rel(s.Phi, Phi_ref)) <= tol
+        assert np.max(layer_rel(s.dPhi, dPhi_ref)) <= tol
         assert np.max(np.abs(s.I_of_S - I_ref) / I_ref) <= tol
         assert layer_rel(s.P_of_S, P_ref) <= tol
         assert np.array_equal(s.truncation_flags, flags_ref)
@@ -254,8 +262,6 @@ class TestSolver:
             solve_idpii(-1.0)
         with pytest.raises(DomainError):
             solve_idpii(1.0, S_min=5.0, S_max=1.0)
-        with pytest.raises(DomainError):
-            solve_idpii(1.0, n_steps=2801)
         # T = 10^{3/2} starts the march at Ai(-296.2), below the Airy domain
         with pytest.raises(DomainError, match=r"T = 31\.6228 .* = -296\.205"):
             solve_idpii(10.0 ** 1.5)
@@ -279,7 +285,7 @@ class TestSolver:
 class TestInterpolation:
     def test_reproduces_grid_values(self, sol):
         j, i = 40, 500
-        v = interp_phi(sol, sol.xi_grid[i], sol.S_fields[j])[0]
+        v = interp_phi(sol, sol.xi_grid[i], sol.S_grid[j])[0]
         assert v == pytest.approx(sol.Phi[j, i], rel=1e-12)
 
     def test_reads_at_stored_layers_are_the_stored_values(self, sol):
@@ -291,8 +297,8 @@ class TestInterpolation:
         on_node = ((xg - xg[0]) / sol.h_xi).astype(int) == np.arange(xg.size)
         nodes = np.flatnonzero(on_node[1:-2]) + 1
         assert nodes.size > 1000
-        for k in (0, 1, 75, 150, sol.S_fields.size - 1):
-            got = interp_phi(sol, xg[nodes], sol.S_fields[k])
+        for k in (0, 1, 75, 150, sol.S_grid.size - 1):
+            got = interp_phi(sol, xg[nodes], sol.S_grid[k])
             assert np.array_equal(got, sol.fields[k][:, nodes])
 
     def test_cubic_accuracy_between_nodes(self, sol):
@@ -350,7 +356,7 @@ class TestReadAccuracy:
 
     @pytest.mark.parametrize("T", [1.0, 2.0 ** 1.5], ids=["1", "2^1.5"])
     def test_reads_match_the_march_between_field_layers(self, T):
-        # S = S_max + k h, k not a multiple of 16, lies between field layers;
+        # S = S_max + k h, k not a multiple of 16, lies between stored layers;
         # a solve of k steps of the same h ends there with an exact layer.
         # Measured: Phi within 2.9e-8, dPhi/dS within 1.5e-7 over the whole grid
         sol = solve_idpii(T)
@@ -362,19 +368,6 @@ class TestReadAccuracy:
             assert abs(interp_P(sol, S) - ref.P_of_S[-1]) <= 1e-12
             err = np.max(np.abs(interp_phi(sol, ref.xi_grid, S) - ref.fields[-1]), axis=1)
             assert err[0] <= 1e-7 and err[1] <= 1e-6
-
-    @pytest.mark.parametrize("T", [1.0, 2.0 ** 1.5], ids=["1", "2^1.5"])
-    def test_scalar_reads_from_the_field_layers_alone(self, T):
-        # I and P read from the 16-step data only, at every 4-step layer
-        # between: within 1.1e-13 of the stored values (measured)
-        sol = solve_idpii(T)
-        j = sol.field_index
-        sparse = IdPiiSolution(T, sol.xi_grid, sol.S_grid[j], sol.I_of_S[j], sol.dI_of_S[j],
-                               sol.d2I_of_S[j], sol.P_of_S[j], sol.truncation_flags[j],
-                               np.arange(j.size), sol.fields)
-        for S, I, P in zip(sol.S_grid, sol.I_of_S, sol.P_of_S):
-            assert abs(interp_I(sparse, S) - I) <= 1e-12
-            assert abs(interp_P(sparse, S) - P) <= 1e-12
 
 
 class TestLimitingKernel:
@@ -462,4 +455,4 @@ class TestFermiWeightUse:
         k = 120
         w = fermi_weight(sol.xi_grid)
         direct = _trapezoid(sol.Phi[k] ** 2 * w, sol.xi_grid)
-        assert direct == pytest.approx(sol.I_of_S[sol.field_index[k]], rel=1e-6, abs=1e-12)
+        assert direct == pytest.approx(sol.I_of_S[k], rel=1e-6, abs=1e-12)
