@@ -6,10 +6,10 @@ The unknown Phi(xi | S, T) satisfies, as a function of S at each fixed xi,
     I(S) = int Phi(xi | S, T)^2 fermi_weight(xi) dxi,
 
 with Airy boundary data Phi ~ T^{1/6} Ai(T^{2/3} xi + S T^{-1/3}) for large S.
-The solver marches (Phi, dPhi/dS) downward in S from S_max on a fixed xi grid
-by classical RK4, in closed form since the equation is linear in Phi once the
-scalar I(S) is known (derivation in solve_idpii).  The anti-derivative P, with
-dP/dS = S/(2T) + I(S)/T and P(S_max) = S_max^2/(4T), rides along as a scalar.
+The solver marches sqrt(wq) (Phi, dPhi/dS), wq the quadrature weights of I,
+downward in S from S_max by classical RK4 in closed form, the equation being
+linear in Phi once I(S) is known (solve_idpii), and stores Phi unscaled.  P, with
+dP/dS = S/(2T) + I(S)/T and P(S_max) = S_max^2/(4T), rides along.
 
 The solution keeps I, its first two S-derivatives, P and the field rows
 (Phi, dPhi/dS) on one S axis, every 16 steps and at the last.  Reads between
@@ -57,15 +57,6 @@ class IdPiiSolution:
         return self.xi_grid[1] - self.xi_grid[0]
 
 
-def _stage_integral(m, a0, a1, b0, b1):
-    """I(Y) = sum wq Y^2 for Y = (a0 + a1 xi) y + (b0 + b1 xi) v, from the
-    moments m = (yy_p, yv_p, vy_p, vv_p; p = 0, 1, 2), yv_p = sum wq xi^p y v."""
-    yy0, yv0, _, vv0, yy1, yv1, _, vv1, yy2, yv2, _, vv2 = m
-    return (a0 * a0 * yy0 + 2.0 * a0 * a1 * yy1 + a1 * a1 * yy2
-            + 2.0 * (a0 * b0 * yv0 + (a0 * b1 + a1 * b0) * yv1 + a1 * b1 * yv2)
-            + b0 * b0 * vv0 + 2.0 * b0 * b1 * vv1 + b1 * b1 * vv2)
-
-
 def limit_coordinates(s, t):
     """(S, T, sigma, T_L) = (s t^{-3/2}, t^{-3/2}, -s/t, t^3): the id-PII solution at
     (S, T) belongs to the determinant L(sigma, T_L) = L(-S T^{-1/3}, T^{-2}) of the
@@ -83,9 +74,11 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     >= 1): 176 layers, the fields 2 x 1126 floats each, 3.2 MB, on the
     default grid.  A boundary-truncation guard flags (without aborting) the
     stored layers where the integrand Phi^2 * fermi_weight at the grid ends
-    exceeds 1e-10 of its maximum.  A T whose Airy start data leave the domain
-    of airy_ai, or underflow at xi = 0, is refused, and a step after which
-    Phi, dPhi/dS or P is not finite raises BlowUpError.
+    exceeds 1e-10 of its maximum.  Refused: a T whose Airy start data leave
+    the domain of airy_ai or underflow at xi = 0, and a xi window not finite
+    with xi_lo < xi_hi and h_xi > 0 or with a quadrature weight that is not a
+    normal float (the Fermi weight underflows past |xi| of about 708).  A
+    non-finite state, P or stored layer raises BlowUpError.
 
     The march is classical RK4 on the first-order system (y, v, P), y = Phi,
     v = dPhi/dS, in Runge-Kutta-Nystrom form (Hairer, Norsett and Wanner,
@@ -104,10 +97,14 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
 
     Each Y_j is (a_0 + a_1 xi) y + (b_0 + b_1 xi) v, so I(Y_j) is a quadratic
     form in the moments sum wq xi^p {y^2, y v, v^2}, p <= 2, and the new
-    (y, v) is a 2 x 6 matrix applied to the rows xi^p (y, v): a step is one
-    product for the moments, one for the state, and float arithmetic.  The
-    same moments give the S-derivatives that the reads use: I' = 2 sum wq y v
-    and I'' = 2 sum wq (v^2 + (xi + g_1) y^2).
+    (y, v) is a 2 x 6 matrix applied to the rows xi^p (y, v).  The step acts
+    on each xi column alone, so the march carries sqrt(wq) (y, v), unscaled
+    only into a stored layer (layer 0 is the Airy data as computed), and the
+    moments are plain dot products: a step is one product for the moments,
+    one for the state and float arithmetic, 10 us at n_xi = 1126 and 15 us at
+    2251 (BLAS at one thread, 2-core Xeon).  The same
+    moments give the S-derivatives that the reads use: I' = 2 sum wq y v and
+    I'' = 2 sum wq (v^2 + (xi + g_1) y^2).
     """
     if T <= 0:
         raise DomainError("T must be positive")
@@ -115,18 +112,21 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
         raise DomainError("need S_max > S_min")
     if n_steps < 1:
         raise DomainError(f"n_steps = {n_steps}: need at least one step")
+    if not 0.0 < h_xi < math.inf:
+        raise DomainError(f"h_xi = {h_xi}: need a finite step h_xi > 0")
+    if not -math.inf < xi_lo < xi_hi < math.inf:
+        raise DomainError(f"xi_lo = {xi_lo}, xi_hi = {xi_hi}: need finite xi_lo < xi_hi")
     n_xi = int(round((xi_hi - xi_lo) / h_xi)) + 1
     if n_xi < 3:
         raise DomainError("need at least three xi samples")
     xi = xi_lo + h_xi * np.arange(n_xi)
-    # basis[p] = xi^p (Phi, dPhi/dS), p = 0, 1, 2; a step writes the next state
-    # into spare[0] and the two swap
-    basis, spare = np.empty((2, 3, 2, n_xi))
+    n_layers = (n_steps + 15) // 16 + 1
+    fields = np.empty((n_layers, 2, n_xi))
     t16 = T ** (1.0 / 6.0)
     arg_peak = S_max * T ** (-1.0 / 3.0)
     arg0 = T ** (2.0 / 3.0) * xi + arg_peak
     try:
-        basis[0] = t16 * airy_ai(arg0), (1.0 / t16) * airy_ai_prime(arg0)
+        fields[0] = t16 * airy_ai(arg0), (1.0 / t16) * airy_ai_prime(arg0)
     except DomainError as exc:
         raise DomainError(f"T = {T:.6g} gives the lowest Airy start argument "
                           f"T^(2/3) xi_lo + S_max T^(-1/3) = {arg0[0]:.6g}: {exc}") from exc
@@ -146,68 +146,78 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     if n_simp < n_xi:
         wq[-2:] += 0.5 * h_xi
     wq *= w_xi
+    if not wq.min() >= np.finfo(float).tiny:  # a column of weight 0 would be erased
+        raise DomainError(f"xi_lo = {xi_lo}, xi_hi = {xi_hi}: a quadrature weight "
+                          f"is {wq.min():.3g}, not a normal float")
+    sqrt_wq = np.sqrt(wq)
+    # rows xi^p sqrt(wq) (Phi, dPhi/dS), p = 0, 1, 2, in two buffers that alternate
+    bufs = [(b.reshape(6, n_xi), b[0], b[0].T, b[1], b[2]) for b in np.empty((2, 3, 2, n_xi))]
+    np.multiply(fields[0], sqrt_wq, out=bufs[0][1])
     # stacked twice: an (n,) x (2, n) broadcast costs twice a (2, n) product
-    xi2, wq2 = np.array([xi, xi]), np.array([wq, wq])
-    wy, mom, coef = np.empty((2, n_xi)), np.empty((6, 2)), np.empty((2, 6))
+    xi2, mom, coef = np.array([xi, xi]), np.empty((6, 2)), np.empty((2, 6))
+    mom_flat, coef_flat = mom.reshape(12), coef.reshape(12)
 
-    n_layers = (n_steps + 15) // 16 + 1
     S_grid, I_of_S, dI, d2I, P_of_S = np.empty((5, n_layers))
     flags = np.zeros(n_layers, dtype=bool)
-    fields = np.empty((n_layers, 2, n_xi))
     h = (S_min - S_max) / n_steps
     hh = h * h
     h2, hh4, hh2, hhh4 = 0.5 * h, 0.25 * hh, 0.5 * hh, 0.25 * hh * h
     c_y, c_v = hh / 6.0, h / 6.0
     P = S_max * S_max / (4.0 * T)
     for i, S in enumerate((S_max + h * np.arange(n_steps + 1)).tolist()):
-        np.multiply(xi2, basis[0], out=basis[1])
-        np.multiply(xi2, basis[1], out=basis[2])
-        np.multiply(wq2, basis[0], out=wy)
-        # rows y, v, xi y, xi v, xi^2 y, xi^2 v against columns wq y, wq v
-        np.matmul(basis.reshape(6, n_xi), wy.T, out=mom)
-        m = mom.ravel().tolist()
+        rows, s0, s0_T, s1, s2 = bufs[i % 2]
+        np.multiply(xi2, s0, out=s1)
+        np.multiply(xi2, s1, out=s2)
+        # rows (y, v, xi y, xi v, xi^2 y, xi^2 v) . (y, v); np.dot costs less than matmul here
+        np.dot(rows, s0_T, out=mom)
+        m = mom_flat.tolist()
         # the moments hold Phi^2 and overflow a step before the state can,
         # so only then is the state itself checked
         if not math.isfinite(sum(m) + P) and not (
-                math.isfinite(P) and np.isfinite(basis[0]).all()):
+                math.isfinite(P) and np.isfinite(s0).all()):
             raise BlowUpError(f"id-PII state became non-finite at step {i}", step=i)
-        I1 = m[0]
-        g1 = S / T + 2.0 * I1 / T
+        yy0, yv0, _, vv0, yy1, yv1, _, vv1, yy2, yv2, _, vv2 = m
+        g1 = S / T + 2.0 * yy0 / T
         if i % 16 == 0 or i == n_steps:
             layer = (i + 15) // 16
+            if i:
+                np.divide(s0, sqrt_wq, out=fields[layer])
+            # overflowed moments, or a finite state that 1/sqrt(wq) takes past the largest float
+            if not (math.isfinite(sum(m)) and np.isfinite(fields[layer]).all()):
+                raise BlowUpError(f"id-PII layer stored at step {i} is not finite", step=i)
             S_grid[layer] = S
-            I_of_S[layer] = I1
-            dI[layer] = 2.0 * m[1]
-            d2I[layer] = 2.0 * (m[3] + m[4] + g1 * m[0])
+            I_of_S[layer] = yy0
+            dI[layer] = 2.0 * yv0
+            d2I[layer] = 2.0 * (vv0 + yy1 + g1 * yy0)
             P_of_S[layer] = P
-            integrand = basis[0, 0] * basis[0, 0] * w_xi
+            integrand = fields[layer, 0] * fields[layer, 0] * w_xi
             peak = max(float(np.max(integrand)), 1e-300)
             flags[layer] = max(integrand[0], integrand[-1]) > 1e-10 * peak
-            fields[layer] = basis[0]
         if i == n_steps:
             break
         S_h, S_e = S + 0.5 * h, S + h
-        I2 = _stage_integral(m, 1.0, 0.0, h2, 0.0)
+        # I(Y_j), (a_0, a_1; b_0, b_1) = (1, 0; h2, 0), (a3, hh4; h2, 0), (a4, hh2; b4, hhh4)
+        I2 = yy0 + h * yv0 + hh4 * vv0
         g2 = S_h / T + 2.0 * I2 / T
         a3 = 1.0 + hh4 * g1
-        I3 = _stage_integral(m, a3, hh4, h2, 0.0)
+        I3 = a3 * (a3 * yy0 + 2.0 * hh4 * yy1 + h * yv0) + hh4 * (hh4 * yy2 + h * yv1 + vv0)
         g3 = S_h / T + 2.0 * I3 / T
         a4, b4 = 1.0 + hh2 * g2, h + hhh4 * g2
-        I4 = _stage_integral(m, a4, hh2, b4, hhh4)
+        I4 = (a4 * (a4 * yy0 + hh * yy1 + 2.0 * (b4 * yv0 + hhh4 * yv1))
+              + hh2 * (hh2 * yy2 + 2.0 * (b4 * yv1 + hhh4 * yv2))
+              + b4 * (b4 * vv0 + 2.0 * hhh4 * vv1) + hhh4 * hhh4 * vv2)
         g4 = S_e / T + 2.0 * I4 / T
-        P += c_v * ((S / (2.0 * T) + I1 / T) + 2.0 * (S_h / (2.0 * T) + I2 / T)
-                    + 2.0 * (S_h / (2.0 * T) + I3 / T) + (S_e / (2.0 * T) + I4 / T))
-        # on the rows of basis, k_1 = (g1, 0, 1, 0, 0, 0), k_2 = (g2, h2 g2, 1,
-        # h2, 0, 0), k_3 = (g3 a3, h2 g3, g3 hh4 + a3, h2, hh4, 0) and k_4 =
+        P += c_v * ((S + 4.0 * S_h + S_e) / (2.0 * T) + (yy0 + 2.0 * (I2 + I3) + I4) / T)
+        # on the rows of the state, k_1 = (g1, 0, 1, 0, 0, 0), k_2 = (g2, h2 g2,
+        # 1, h2, 0, 0), k_3 = (g3 a3, h2 g3, g3 hh4 + a3, h2, hh4, 0) and k_4 =
         # (g4 a4, g4 b4, g4 hh2 + a4, g4 hhh4 + b4, hh2, hhh4)
-        coef[:] = ((1.0 + c_y * (g1 + g2 + g3 * a3), h + c_y * h2 * (g2 + g3),
-                    c_y * (2.0 + g3 * hh4 + a3), c_y * h, c_y * hh4, 0.0),
-                   (c_v * (g1 + 2.0 * (g2 + g3 * a3) + g4 * a4),
-                    1.0 + c_v * (h * (g2 + g3) + g4 * b4),
-                    c_v * (3.0 + 2.0 * (g3 * hh4 + a3) + g4 * hh2 + a4),
-                    c_v * (2.0 * h + g4 * hhh4 + b4), c_v * hh, c_v * hhh4))
-        np.matmul(coef, basis.reshape(6, n_xi), out=spare[0])
-        basis, spare = spare, basis
+        coef_flat[:] = (1.0 + c_y * (g1 + g2 + g3 * a3), h + c_y * h2 * (g2 + g3),
+                        c_y * (2.0 + g3 * hh4 + a3), c_y * h, c_y * hh4, 0.0,
+                        c_v * (g1 + 2.0 * (g2 + g3 * a3) + g4 * a4),
+                        1.0 + c_v * (h * (g2 + g3) + g4 * b4),
+                        c_v * (3.0 + 2.0 * (g3 * hh4 + a3) + g4 * hh2 + a4),
+                        c_v * (2.0 * h + g4 * hhh4 + b4), c_v * hh, c_v * hhh4)
+        np.dot(coef, rows, out=bufs[1 - i % 2][1])
     return IdPiiSolution(T, xi, S_grid, I_of_S, dI, d2I, P_of_S, flags, fields)
 
 

@@ -95,6 +95,16 @@ class TestSolver:
         assert np.allclose(sol.Phi[0][keep], airy_ai(arg[keep]), rtol=0, atol=1e-14)
         assert np.allclose(sol.dPhi[0][keep], airy_ai_prime(arg[keep]), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("T", [1.0, 1.0 / 16.0, 2.0 ** 1.5])
+    def test_start_layer_is_the_airy_data_bit_for_bit(self, T):
+        # the march carries sqrt(wq) (Phi, dPhi/dS); layer 0 is stored before
+        # that scaling, so no division by sqrt(wq) touches it
+        s = solve_idpii(T, S_min=11.98, n_steps=4)
+        arg = T ** (2.0 / 3.0) * s.xi_grid + 12.0 * T ** (-1.0 / 3.0)
+        t16 = T ** (1.0 / 6.0)
+        assert np.array_equal(s.Phi[0], t16 * airy_ai(arg))
+        assert np.array_equal(s.dPhi[0], (1.0 / t16) * airy_ai_prime(arg))
+
     def test_integral_term_nonnegative(self, sol):
         assert np.all(sol.I_of_S >= 0.0)
 
@@ -238,6 +248,15 @@ class TestSolver:
         assert exc.value.step == 4
         assert "at step 4" in str(exc.value)
 
+    def test_stored_layer_must_be_finite(self):
+        # steps of 10 in S on a window reaching xi = -700: at step 7, the last,
+        # the scaled state and Phi are finite but the moments have overflowed,
+        # so I' or I'' of that layer would not be
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="at step 7") as exc:
+            solve_idpii(1.0 / 16.0, S_min=-58.0, n_steps=7, xi_lo=-700.0, h_xi=0.5)
+        assert exc.value.step == 7
+        assert "layer" in str(exc.value)
+
     @pytest.mark.parametrize("T, tol", [(1.0, 1e-13), (1.0 / 16.0, 5e-11)])
     def test_march_matches_packed_first_order_rk4(self, T, tol):
         # the closed-form Nystrom march is the packed RK4 with its arithmetic
@@ -265,6 +284,28 @@ class TestSolver:
         # T = 10^{3/2} starts the march at Ai(-296.2), below the Airy domain
         with pytest.raises(DomainError, match=r"T = 31\.6228 .* = -296\.205"):
             solve_idpii(10.0 ** 1.5)
+
+    @pytest.mark.parametrize("h_xi", [0.0, -0.04, float("nan"), float("inf")])
+    def test_xi_step_must_be_finite_and_positive(self, h_xi):
+        with pytest.raises(DomainError, match=rf"^h_xi = {h_xi}: "):
+            solve_idpii(1.0, h_xi=h_xi, n_steps=4, S_min=11.98)
+
+    @pytest.mark.parametrize("xi_lo, xi_hi", [(15.0, -30.0), (-30.0, -30.0),
+                                              (-float("inf"), 15.0), (-30.0, float("nan"))])
+    def test_xi_window_must_be_finite_and_ordered(self, xi_lo, xi_hi):
+        # reversed ends with a negative step ran on the weights of the reversed
+        # grid and gave I(-2) = -0.077 < 0
+        with pytest.raises(DomainError, match=rf"^xi_lo = {xi_lo}, xi_hi = {xi_hi}: "):
+            solve_idpii(1.0, xi_lo=xi_lo, xi_hi=xi_hi, n_steps=4, S_min=11.98)
+        with pytest.raises(DomainError):
+            solve_idpii(1.0, xi_lo=xi_lo, xi_hi=xi_hi, h_xi=-0.04, n_steps=4, S_min=11.98)
+
+    @pytest.mark.parametrize("T, xi_lo, xi_hi", [(1.0 / 16.0, -800.0, 15.0), (1.0, -30.0, 800.0)])
+    def test_quadrature_weights_must_be_normal(self, T, xi_lo, xi_hi):
+        # the Fermi weight underflows past |xi| of about 708; a column of
+        # weight 0 would drop out of I, and of the scaled march
+        with pytest.raises(DomainError, match=r"quadrature weight is 0, not a normal float"):
+            solve_idpii(T, xi_lo=xi_lo, xi_hi=xi_hi, n_steps=4, S_min=11.98)
 
     @pytest.mark.parametrize("T, S_max, arg", [(1e-3, 12.0, "120"), (1.0, 150.0, "150")])
     def test_underflowed_start_refused(self, T, S_max, arg):
