@@ -20,7 +20,8 @@ n max V / 2 <= 708.4 there, which is n <= 708 for V = 2(1+x)^2 (V = 2 at both
 edges).  Beyond the bound build_grid raises BreakdownError rather than
 give recurrences a grid whose nodes would be lost.
 
-The Stieltjes procedure sweeps the nodes in place, on four preallocated
+The Stieltjes procedure carries the weighted orthonormal values and sweeps
+the nodes in place, 7 node-length passes a step on four preallocated
 buffers.  One generator of the three-term recurrence yields the weighted
 orthonormal values row by row: weighted_values stacks them into a matrix,
 kernel_trace sums their squares as they come and holds no n x N matrix, and
@@ -28,7 +29,9 @@ the edge kernel runs the same recurrence on its two points as plain floats.
 The deformation matrix keeps the nodes where a bound on the trace they carry,
 n (1 - sigma_n), is not negligible, and runs the recurrence once over them
 through weighted_values, in node blocks of about BLOCK_ENTRIES values, so its
-peak memory is O(n * block + n^2) however many nodes the grid has.
+peak memory is O(n * block + n^2) however many nodes the grid has.  The
+log-det solves only the trailing rows of M, past a leading block whose trace
+is as negligible as the dropped nodes' (log_lstat_det).
 
 Two independent routes to the multiplicative linear statistic
 L_n = E prod sigma_n(lambda_j) are provided: a ratio of norming constants
@@ -162,15 +165,26 @@ class RecurrenceTable:
 
 
 def stieltjes_recurrence(nodes, weights, log_weight, K):
-    """Discretized Stieltjes procedure in log scale.
+    """Discretized Stieltjes procedure in orthonormal form (Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, OUP 2004, 2.2.3).
 
     Builds alpha_k and log h_k, k < K, of the monic orthogonal polynomials of
     the discrete measure sum_i w_i e^{log_weight_i} delta_{x_i}.  Polynomial
-    values are carried as p_k(x_i) e^{log_weight_i/2} e^{-Lambda_k} with a
-    running renormalization Lambda_k, so no intermediate ever overflows.  A
-    step writes into four node-length buffers: one product of A^2 with the
-    stacked (w, w x) gives norm^2 and sum w x A^2, and max |C| comes from
-    C.max() and C.min(), so nothing node-length is allocated.
+    values are carried as Ahat_k = Phat_k(x_i) e^{log_weight_i/2}, Phat_k
+    orthonormal, so sum w Ahat_k^2 = 1 and no intermediate overflows; log h_k
+    is kept only as a number.  A step forms
+    C = (x - alpha_k) Ahat_k - sqrt(beta_k) Ahat_{k-1}, whose norm^2 is
+    beta_{k+1} and whose sum w x C^2 / beta_{k+1} is alpha_{k+1}, both from
+    one product of C^2 with the stacked (w, w x); then Ahat_{k+1} =
+    C / sqrt(beta_{k+1}).  That is 7 node-length passes (C^2, the product,
+    the division, x - alpha, the product with Ahat, Ahat_{k-1} sqrt(beta) and
+    the difference), no reduction besides the product, on four preallocated
+    buffers.  The first C is e^{log_weight/2} itself, as unnormalized as the
+    weight: its norm^2 is h_0.  A norm that is not finite and positive
+    raises BreakdownError.  At n = 512 on 2(1+x)^2 (6,384 nodes) a table
+    takes 11.9 ms, against 14.3 ms for a monic sweep renormalized by max |C|,
+    9 passes a step with two reductions (tests/oracles.py keeps one; minimum
+    of 15 runs, shared 2-core Xeon, BLAS at one thread).
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -180,33 +194,27 @@ def stieltjes_recurrence(nodes, weights, log_weight, K):
     alpha = np.empty(K)
     log_h = np.empty(K)
     W = np.stack((w, w * x))
-    A = np.exp(0.5 * lw)  # p_0 = 1 at scale Lambda_0 = 0
-    B = np.zeros_like(A)
-    C = np.empty_like(A)
-    T = np.empty_like(A)
-    lam = 0.0
-    lam_prev = 0.0
+    C = np.exp(0.5 * lw)  # P_0 e^{lw/2}, of norm^2 h_0
+    A = np.empty_like(C)
+    B = np.zeros_like(C)
+    T = np.empty_like(C)
     for k in range(K):
-        np.multiply(A, A, out=T)
-        norm2, first = (W @ T).tolist()
+        np.multiply(C, C, out=T)
+        norm2, first = (W @ T).tolist()  # h_0, then beta_k = h_k / h_{k-1}
         if not (np.isfinite(norm2) and norm2 > 0):
             raise BreakdownError(f"recurrence lost positivity at k={k}")
-        log_h[k] = math.log(norm2) + 2.0 * lam
+        log_h[k] = math.log(norm2) + (log_h[k - 1] if k else 0.0)
         alpha[k] = first / norm2
         if k == K - 1:
             break
+        sb = math.sqrt(norm2)
+        A, B = B, A
+        np.divide(C, sb, out=A)  # Ahat_k; B holds Ahat_{k-1}
         np.subtract(x, alpha[k], out=C)
         C *= A
         if k:
-            scale = math.exp(log_h[k] - log_h[k - 1] + lam_prev - lam)
-            np.multiply(B, scale, out=T)
+            np.multiply(B, sb, out=T)
             C -= T
-        m = max(float(C.max()), -float(C.min()))
-        if not (np.isfinite(m) and m > 0):
-            raise BreakdownError(f"recurrence degenerated at k={k}")
-        C /= m
-        A, B, C = C, A, B
-        lam_prev, lam = lam, lam + math.log(m)
     return RecurrenceTable(alpha, log_h)
 
 
@@ -332,23 +340,41 @@ def log_lstat_det(grid, table_und, n, log_sigma_nodes):
     M_jk = int Phat_j Phat_k (1 - sigma_n) e^{-nV} dx, assembled by
     deformation_matrix from the grid nodes where n (1 - sigma_n) exceeds
     DROP_TOL / N; 1 - sigma is evaluated stably from log sigma.  The nodes
-    dropped there form a positive semidefinite D with trace(D) <= dropped
-    <= DROP_TOL, and with tau = dropped / (1 - lambda_max(M)) the log-det of
-    the full-grid matrix differs from the one returned by at most
-    tau / (1 - tau), about 2e-19 / (1 - lambda_max(M)).
+    dropped there form a positive semidefinite D with trace(D) <= dropped.
 
-    One eigvalsh serves the guards and the value.  The spectrum must lie in
-    [0, 1) to 1e-8 and 1 - lambda_max must be positive; the log-det is then
+    The rows of low degree live away from the edge, where 1 - sigma_n is
+    negligible, and carry almost none of the trace: the log-det is taken from
+    the trailing block C = M[j0:, j0:] alone, j0 the largest index with
+    tau_r = sum_{k<j0} M_kk <= DROP_TOL - dropped (453 of 512 rows on
+    2(1+x)^2 and 357 on the quartic at n = 512, s = 0).  With A = M[:j0, :j0]
+    and B the block beside it, M >= 0 gives ||B||_F^2 <= lambda_max(C) tr(A),
+    and the Schur complement I - A - B (I - C)^{-1} B^T then puts log det(I - M)
+    within -log(1 - tau_r / (1 - lambda_max(C))) of log det(I - C).  The node
+    drop adds at most dropped / (1 - lambda_max(M)) in the same form, and the
+    two budgets sum to at most DROP_TOL, so the value is within about
+    2e-19 / (1 - lambda_max) of the full-grid log-det.  j0 is known only once
+    every node block is in M, so deformation_matrix forms all of M, one SYRK
+    per block: a cut per block would leave cross terms bounded only by
+    sqrt(tau).  Over n = 64 ... 512 on both potentials at s = 0 the
+    eigen-solves take 15.3 ms instead of 30.8 ms on the whole M (minimum of
+    15 runs, shared 2-core Xeon, BLAS at one thread).
+
+    One eigvalsh of C serves the guards and the value.  The spectrum must lie
+    in [0, 1) to 1e-8 and 1 - lambda_max must be positive; the log-det is then
     sum_k log1p(-lambda_k), which keeps its relative accuracy in the upper
     tail where M is small (LU resolves log det only to about 1e-16 absolute).
     Rounding M to float64 moves log(1 - lambda_max) by about
     2^-52 / (1 - lambda_max), relative to log L_n; where 1 - lambda_max is so
     small (deep in the lower tail, s <= -20 or so) that this exceeds DET_RTOL,
     BreakdownError is raised rather than a value that has lost its digits.
+    Where every row falls under the budget, log L_n is 0.0.
     """
     M, dropped = deformation_matrix(grid, table_und, n, log_sigma_nodes)
-    ev = np.linalg.eigvalsh(M)
-    where = (f"log_lstat_det at n={n}: M has spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] "
+    j0 = int(np.searchsorted(np.cumsum(np.diag(M)), DROP_TOL - dropped, side="right"))
+    if j0 == n:
+        return 0.0
+    ev = np.linalg.eigvalsh(M[j0:, j0:])
+    where = (f"log_lstat_det at n={n}: M[{j0}:, {j0}:] has spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] "
              f"after dropping trace {dropped:.3g}")
     if ev[0] < -1e-8 or ev[-1] > 1.0 + 1e-8:
         raise BreakdownError(f"{where}, outside [0, 1)")

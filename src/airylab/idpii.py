@@ -75,10 +75,11 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     default grid.  A boundary-truncation guard flags (without aborting) the
     stored layers where the integrand Phi^2 * fermi_weight at the grid ends
     exceeds 1e-10 of its maximum.  Refused: a T whose Airy start data leave
-    the domain of airy_ai or underflow at xi = 0, and a xi window not finite
-    with xi_lo < xi_hi and h_xi > 0 or with a quadrature weight that is not a
-    normal float (the Fermi weight underflows past |xi| of about 708).  A
-    non-finite state, P or stored layer raises BlowUpError.
+    the domain of airy_ai or underflow at xi = 0, an S window not finite with
+    S_min < S_max, and a xi window not finite with xi_lo < xi_hi and h_xi > 0
+    or with a quadrature weight that is not a normal float (the Fermi weight
+    underflows past |xi| of about 708).  A non-finite state, P or stored
+    layer raises BlowUpError.
 
     The march is classical RK4 on the first-order system (y, v, P), y = Phi,
     v = dPhi/dS, in Runge-Kutta-Nystrom form (Hairer, Norsett and Wanner,
@@ -108,8 +109,8 @@ def solve_idpii(T, S_min=-2.0, S_max=12.0, xi_lo=-30.0, xi_hi=15.0,
     """
     if T <= 0:
         raise DomainError("T must be positive")
-    if S_max <= S_min:
-        raise DomainError("need S_max > S_min")
+    if not -math.inf < S_min < S_max < math.inf:
+        raise DomainError(f"S_min = {S_min}, S_max = {S_max}: need finite S_min < S_max")
     if n_steps < 1:
         raise DomainError(f"n_steps = {n_steps}: need at least one step")
     if not 0.0 < h_xi < math.inf:

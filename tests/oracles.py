@@ -1,15 +1,17 @@
 """Independent oracles for the tests; nothing in the program calls them.
 
-Finite-n ensemble: the allocating loops of the recurrences (Stieltjes
-procedure, weighted orthonormal values, kernel trace, edge kernel) as straight
-array code.  The in-place and streamed forms in airylab.ensemble do the same
-arithmetic in the same order (the Stieltjes step takes norm^2 and
-sum w x A^2 from one product of A^2 with the stacked (w, w x) in both), so
-the tests require bitwise equality with these.  cd_kernel and log_partition
-are built on them and on the recurrence data alone.  deformation_matrix forms
-U on every node the drop rule keeps, as one slab, and M as one product: the
-blocked assembly in airylab.ensemble must keep the same nodes, drop the same
-trace and agree to rounding.  window_grid pads the support by 1/2 past each
+Finite-n ensemble: the allocating loops of the recurrences (orthonormal
+Stieltjes procedure, weighted orthonormal values, kernel trace, edge kernel)
+as straight array code.  The in-place and streamed forms in airylab.ensemble
+do the same arithmetic in the same order (the Stieltjes step takes beta and
+sum w x C^2 from one product of C^2 with the stacked (w, w x) in both), so
+the tests require bitwise equality with these.  stieltjes_recurrence_monic
+carries monic values renormalized by max |C|, another arithmetic, which the
+tests hold the orthonormal sweep against to rounding.  cd_kernel and
+log_partition are built on them and on the recurrence data alone.
+deformation_matrix forms U on every node the drop rule keeps, as one slab,
+and M as one product: the blocked assembly in airylab.ensemble must keep the
+same nodes, drop the same trace and agree to rounding.  window_grid pads the support by 1/2 past each
 edge and by graded tails out to the weight window n (V - min V) <= 400, with
 no use of the effective potential: the grid of build_grid, which ends on the
 Airy scale, is held against it.
@@ -54,7 +56,34 @@ from airylab.special import _airy_cut, logistic
 
 
 def stieltjes_recurrence(nodes, weights, log_weight, K):
-    """Discretized Stieltjes procedure in log scale, allocating at every step."""
+    """Orthonormal discretized Stieltjes procedure, allocating at every step."""
+    x = np.asarray(nodes, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    lw = np.asarray(log_weight, dtype=float)
+    alpha = np.empty(K)
+    log_h = np.empty(K)
+    C = np.exp(0.5 * lw)
+    A = np.zeros_like(C)
+    for k in range(K):
+        norm2, first = (np.stack((w, w * x)) @ (C * C)).tolist()
+        log_h[k] = math.log(norm2) + (log_h[k - 1] if k else 0.0)
+        alpha[k] = first / norm2
+        if k == K - 1:
+            break
+        sb = math.sqrt(norm2)
+        B, A = A, C / sb
+        C = (x - alpha[k]) * A - B * sb if k else (x - alpha[k]) * A
+    return RecurrenceTable(alpha, log_h)
+
+
+def stieltjes_recurrence_monic(nodes, weights, log_weight, K):
+    """Discretized Stieltjes procedure on monic values renormalized by max |C|.
+
+    The values are carried as p_k(x_i) e^{log_weight_i/2} e^{-Lambda_k}, p_k
+    monic, Lambda_k a running log-scale; h_k is the norm of that vector times
+    e^{2 Lambda_k}.  An arithmetic apart from airylab.ensemble's orthonormal
+    sweep, which the tests hold against it to rounding.
+    """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     lw = np.asarray(log_weight, dtype=float)

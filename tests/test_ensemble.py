@@ -367,6 +367,70 @@ class TestStreamedRecurrences:
             assert rescaled_edge_kernel(eq, t_def, n, u, v) == np.sum(U[:, 0] * U[:, 1]) / scale
 
 
+class TestMonicSweepAgreement:
+    """The orthonormal sweep against oracles.stieltjes_recurrence_monic, the
+    monic sweep renormalized by max |C|: two arithmetics, one table to
+    rounding.  Worst moves over these cases: alpha_k 1.1e-13, which is
+    4.4e-14 (1 + |alpha_k|), and log h_k 2.5e-15 (1 + |log h_k|)."""
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow", "asymmetric"])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    def test_matches_monic_sweep(self, tables, potential, n):
+        # s = -30 is far in the lower tail: the deformed weight falls by e^{-30}
+        # and more left of the edge
+        for s in (-3.0, 0.0, 3.0, -30.0):
+            grid, t_und, t_def, lsig = tables(potential, n, s)
+            for table, lw in ((t_und, grid.log_w_und), (t_def, grid.log_w_und + lsig)):
+                ref = oracles.stieltjes_recurrence_monic(grid.nodes, grid.weights, lw, n + 1)
+                assert np.all(np.abs(table.alpha - ref.alpha) <= 1e-13 * (1.0 + np.abs(ref.alpha)))
+                assert np.all(np.abs(table.log_h - ref.log_h) <= 1e-13 * (1.0 + np.abs(ref.log_h)))
+
+
+class TestTrailingBlock:
+    """log_lstat_det solves only M[j0:, j0:], the rows past a leading trace of
+    at most DROP_TOL - dropped; against the whole spectrum of M."""
+
+    def test_eigen_solve_on_fewer_rows(self, tables, monkeypatch):
+        n = 512
+        grid, t_und, _, lsig = tables("quartic", n, 0.0)
+        shapes, real = [], np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        log_lstat_det(grid, t_und, n, lsig)
+        assert len(shapes) == 1
+        rows, cols = shapes[0]
+        assert rows == cols < n
+
+    @pytest.mark.parametrize("potential", ["gaussian", "quartic", "narrow", "asymmetric"])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    def test_matches_full_spectrum(self, tables, potential, n):
+        # the cut leaves out a leading trace tau_r <= DROP_TOL - dropped, so
+        # log det(I - M) moves by at most -log(1 - tau_r / (1 - lambda_max)).
+        # Two eigen-solves differ by rounding of about 2^-52 / (1 - lambda_max)
+        # relative to log L, allowed here nine times over and never less than
+        # that in absolute terms: at s = 3 on 2(1+x)^2, n = 512, they differ by
+        # 6.3e-17 on log L = -0.039.  Worst seen: 0.17 of the allowance
+        for s in (-3.0, 0.0, 3.0, -30.0):
+            grid, t_und, _, lsig = tables(potential, n, s)
+            M, dropped = deformation_matrix(grid, t_und, n, lsig)
+            ev = np.linalg.eigvalsh(M)
+            gap = 1.0 - ev[-1]
+            if s == -30.0:
+                # far in the lower tail both solves leave 1 - lambda_max at rounding
+                assert gap < 2.0 ** -52 / ensemble.DET_RTOL
+                with pytest.raises(BreakdownError, match=f"log_lstat_det at n={n}"):
+                    log_lstat_det(grid, t_und, n, lsig)
+                continue
+            full = float(np.sum(np.log1p(-ev)))
+            bound = -math.log1p(-(ensemble.DROP_TOL - dropped) / gap)
+            rounding = 2e-15 * max(1.0, abs(full)) / gap
+            assert abs(log_lstat_det(grid, t_und, n, lsig) - full) <= bound + rounding
+
+
 class TestRecurrenceRange:
     """The recurrences start from e^{-nV/2}: past the n where that leaves the
     normal floats on the support, build_grid refuses (n = 709 on 2(1+x)^2)."""

@@ -285,6 +285,14 @@ class TestSolver:
         with pytest.raises(DomainError, match=r"T = 31\.6228 .* = -296\.205"):
             solve_idpii(10.0 ** 1.5)
 
+    @pytest.mark.parametrize("S_min, S_max", [(float("nan"), 12.0), (-float("inf"), 12.0),
+                                              (-2.0, float("nan")), (-2.0, float("inf"))])
+    def test_s_window_must_be_finite_and_ordered(self, S_min, S_max):
+        # a non-finite S_min marched and raised BlowUpError at step 1; a
+        # non-finite S_max was refused as an Airy argument out of range
+        with pytest.raises(DomainError, match=rf"^S_min = {S_min}, S_max = {S_max}: "):
+            solve_idpii(1.0, S_min=S_min, S_max=S_max, n_steps=4)
+
     @pytest.mark.parametrize("h_xi", [0.0, -0.04, float("nan"), float("inf")])
     def test_xi_step_must_be_finite_and_positive(self, h_xi):
         with pytest.raises(DomainError, match=rf"^h_xi = {h_xi}: "):
