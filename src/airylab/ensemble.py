@@ -283,8 +283,9 @@ def log_lstat_gamma(table_def, table_und, n):
     return float(np.sum(table_def.log_h[:n] - table_und.log_h[:n]))
 
 
-# The deformation matrix drops grid nodes whose summed contribution to its
-# trace stays below this: a thousandth of the rounding unit of an O(1) entry.
+# The deformation matrix drops grid nodes, and its log-det leading rows, whose
+# summed contribution to its trace stays below this, the two together: a
+# thousandth of the rounding unit of an O(1) entry.
 DROP_TOL = 2.0 ** -52 * 1e-3
 
 # The deformation matrix is accumulated over blocks of kept nodes whose slab of
