@@ -52,8 +52,9 @@ class DeformationQ:
     """Polynomial deformation Q with Q(0) = 0, t = -Q'(0) > 0 and one sign change.
 
     The sign condition (Q > 0 left of the origin, Q < 0 right of it) is checked
-    on [min(-6, -a), 6] at points 0.06 apart (201 points on [-6, 6]), a the
-    width of the support [-a, 0], over which the finite-n side reads Q.
+    on [min(-6, -a), 6], a the width of the support [-a, 0], over which the
+    finite-n side reads Q.  There Q(x) = -x p(x) with p(0) = t > 0, so the
+    condition holds exactly when p has no real root on that window.
     """
 
     def __init__(self, coeffs, a=0.0):
@@ -64,13 +65,11 @@ class DeformationQ:
         if not t > 0:
             raise DomainError("deformation must have -Q'(0) > 0")
         lo = min(-6.0, -float(a))
-        xs = np.linspace(lo, 6.0, 201 + math.ceil((-6.0 - lo) / 0.06))
-        vals = p(xs)
-        bad = np.flatnonzero((xs < 0) & (vals <= 0) | (xs > 0) & (vals >= 0))
-        if bad.size:
-            i = bad[np.argmin(np.abs(xs[bad]))]  # the failing point nearest the origin
+        roots = RealPolynomial(-p.coeffs[1:]).real_roots_in(lo, 6.0)
+        if roots.size:
+            x = roots[np.argmin(np.abs(roots))]  # the failing point nearest the origin
             raise DomainError(f"deformation violates the sign condition on [{lo:.6g}, 6] "
-                              f"at x = {xs[i]:.6g}, where Q = {vals[i]:.6g}")
+                              f"at x = {x:.6g}, a real root of -Q(x)/x")
         self.poly = p
         self.t = float(t)
 

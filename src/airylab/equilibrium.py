@@ -196,13 +196,13 @@ def build_equilibrium(V):
     """Full equilibrium pipeline with structural guards.
 
     Locates the support, shifts the right edge to zero, builds h and the
-    Lagrange constant ell, and verifies one-cut regularity (h > 0 on the
-    support), unit mass to _MASS_TOL, and the Euler-Lagrange equality: the
-    spread of ell(phi) over the points of _EL_PHI, edges included, stays within
-    _EL_TOL (1 + |ell|).  On x^2/2 + x^4/20 a support shifted by 1e-9 spreads
-    ell(phi) by 3.1e-9 while the mass stays 1 to rounding, and a width off by
-    1e-6 moves the mass by 7.7e-7.  Each guard raises with the stage, the
-    coefficients of V, the measured value and the bound.
+    Lagrange constant ell, and verifies one-cut regularity (h(0) > 0 and no
+    real root of h in [-a, 0]), unit mass to _MASS_TOL, and the Euler-Lagrange
+    equality: the spread of ell(phi) over the points of _EL_PHI, edges
+    included, stays within _EL_TOL (1 + |ell|).  On x^2/2 + x^4/20 a support
+    shifted by 1e-9 spreads ell(phi) by 3.1e-9 while the mass stays 1 to
+    rounding, and a width off by 1e-6 moves the mass by 7.7e-7.  Each guard
+    raises with the stage, the coefficients of V, the measured value and the bound.
     """
     if not isinstance(V, Potential):
         V = Potential(V)
@@ -211,10 +211,11 @@ def build_equilibrium(V):
     a = b_plus - b_minus
     Vs = shift_to_zero(V, b_plus)
     h = compute_h(Vs, a)
-    h_min = float(np.min(h(np.linspace(-a, 0.0, 101))))
-    if h_min <= 0:
-        raise BreakdownError(f"{where}: h is not strictly positive on the support (not one-cut "
-                             f"regular): min h = {h_min!r}, bound > 0")
+    roots, h0 = h.real_roots_in(-a, 0.0), float(h(0.0))
+    if roots.size or not h0 > 0:
+        raise BreakdownError(f"{where}: not one-cut regular: h has the real roots "
+                             f"{roots.tolist()} on the support [{-a:.6g}, 0] and "
+                             f"h(0) = {h0!r}, bound > 0")
     g = _sin2_h_cosines(h, a)
     mass = float(a * a * g[0] / 8.0)
     if not abs(mass - 1.0) <= _MASS_TOL:

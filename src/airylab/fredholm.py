@@ -31,11 +31,12 @@ def _zeta_scheme(T, x_min):
     """Shared zeta panel grid for the finite-temperature kernel.
 
     The lower end is where the logistic factor has decayed to ~e^{-45}; the
-    upper end is where Ai(x_min + zeta)^2 has (4/3)(x_min+zeta)^{3/2} >= 45.
+    upper end is where Ai(x_min + zeta)^2 has (4/3)(x_min+zeta)^{3/2} >= 45;
+    on the domain build_nystrom accepts it lies in (lo + 1, 60).
     """
     t13 = T ** (1.0 / 3.0)
     lo = -45.0 / t13 - 5.0
-    hi = min(max((45.0 * 0.75) ** (2.0 / 3.0) - x_min, lo + 1.0), 60.0)
+    hi = (45.0 * 0.75) ** (2.0 / 3.0) - x_min
     width = min(0.5, 5.0 / t13)
     n_panels = int(np.ceil((hi - lo) / width))
     return PanelScheme(np.linspace(lo, hi, n_panels + 1))

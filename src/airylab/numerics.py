@@ -49,6 +49,11 @@ class RealPolynomial:
         r = np.roots(np.r_[self.coeffs[:0:-1], self.coeffs[0] - level])
         return r[np.abs(r.imag) < 1e-10].real
 
+    def real_roots_in(self, lo, hi):
+        """The real roots (as real_roots decides them) in [lo, hi], ascending."""
+        r = np.sort(self.real_roots())
+        return r[(lo <= r) & (r <= hi)]
+
     def shift(self, c):
         """Return the polynomial q(x) = p(x + c) (Taylor shift by repeated Horner)."""
         work = np.array(self.coeffs, dtype=float)
@@ -110,8 +115,6 @@ def _legendre_p_dp(m, x):
 
 
 def _legendre_rule(m):
-    if m == 1:
-        return QuadratureRule([0.0], [2.0])
     k = np.arange(m)
     x = np.cos(np.pi * (k + 0.75) / (m + 0.5))
     for _ in range(100):

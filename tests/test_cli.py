@@ -238,6 +238,18 @@ class TestTablesWhereRead:
         cli._STUDIES[study](LabConfig({"n_list": [16, 32], "s_list": [0.0, 1.0]}))
         assert len(count) == calls
 
+    def test_theorem3_builds_one_grid_per_n(self, monkeypatch):
+        ns = []
+        build_grid = cli.build_grid
+
+        def spy(eq, n):
+            ns.append(n)
+            return build_grid(eq, n)
+
+        monkeypatch.setattr(cli, "build_grid", spy)
+        cli.run_theorem3(LabConfig({"n_list": [16, 32], "s_list": [0.0, 1.0]}))
+        assert ns == [16, 32]
+
 
 class _Solved(Exception):
     """Ends a study at its id-PII solve, whose arguments the spy has kept."""
@@ -452,6 +464,8 @@ class TestMain:
     @pytest.mark.parametrize("data, key", [
         ({"potential": [1.0, 0.0, -1.0]}, "potential"),
         ({"deformation": [0.0, 1.0]}, "deformation"),
+        # Q = -x ((x - 3.03)^2 - 1e-4) is positive on (3.02, 3.04) only
+        ({"deformation": [0.0, -9.1808, 6.06, -1.0]}, "deformation"),
     ])
     def test_refused_potential_or_deformation_exit_two(self, tmp_path, capsys, study,
                                                        data, key):
@@ -473,7 +487,7 @@ class TestMain:
         assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and f"'{key}'" in err
-        assert "[-28.2843, 0]" in err and "x = -10.0" in err
+        assert "[-28.2843, 0]" in err and "x = -10, " in err
         assert not (tmp_path / f"{study}.csv").exists()
 
     # idpii_s_min, idpii_n_steps, idpii_h_xi, fredholm_L and fredholm_m are
@@ -618,6 +632,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "numeric failure" in err and "equilibrium stage" in err
         assert "[2.0, 4.0, 2.0]" in err and "Euler-Lagrange" in err
+
+    def test_non_regular_potential_exit_four(self, tmp_path, capsys):
+        # h dips below zero between its real roots -1.778 and -1.743, inside
+        # the support [-3.954, 0]; its minimum there is -3.1e-4
+        cfg = write_config(tmp_path, {"potential": [0.0, 0.0, -0.85, 0.3, 0.25]})
+        assert main(["eqmeasure", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "not one-cut regular" in err
+        assert "h has the real roots [-1.778" in err
+        assert not (tmp_path / "eqmeasure.csv").exists()
 
     def test_deterministic_output_bytes(self, tmp_path):
         for sub in ("one", "two"):

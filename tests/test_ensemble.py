@@ -98,8 +98,13 @@ class TestDeformation:
         # holds, over the support [-28.3, 0] of 0.01 x^2 it does not
         q = [0.0, -1.0, 0.0, 0.01]
         assert DeformationQ(q).t == DeformationQ(q, a=5.0).t == 1.0
-        with pytest.raises(DomainError, match=r"\[-28\.3, 6\] at x = -10\.0"):
+        with pytest.raises(DomainError, match=r"\[-28\.3, 6\] at x = -10, "):
             DeformationQ(q, a=28.3)
+
+    def test_sign_excursion_between_samples(self):
+        # Q = -x ((x - 3.03)^2 - 1e-4) is positive on (3.02, 3.04) only
+        with pytest.raises(DomainError, match=r"\[-6, 6\] at x = 3\.02, "):
+            DeformationQ([0.0, -9.1808, 6.06, -1.0])
 
     def test_log_sigma_stable(self, q_linear):
         vals = log_sigma(q_linear, 64, 0.0, np.array([-100.0, 0.0, 100.0]))

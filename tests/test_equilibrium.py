@@ -6,7 +6,7 @@ import pytest
 from airylab import equilibrium
 from airylab.equilibrium import (Potential, build_equilibrium, compute_h, q0_limit,
                                  solve_support, szego_q0)
-from airylab.errors import DomainError, InconsistencyError
+from airylab.errors import BreakdownError, DomainError, InconsistencyError
 from airylab.numerics import RealPolynomial
 
 from oracles import conformal_psi, el_residual, phi_right
@@ -95,7 +95,8 @@ class TestEquilibriumData:
 
 
 class TestGuards:
-    """Each guard of build_equilibrium trips on a support off by 1e-6."""
+    """The mass and Euler-Lagrange guards of build_equilibrium trip on a
+    support off by 1e-6, the regularity guard on a real root of h."""
 
     QUARTIC = [0.0, 0.0, 0.5, 0.0, 0.05]
 
@@ -120,6 +121,17 @@ class TestGuards:
         msg = str(exc.value)
         for part in ("equilibrium stage", str(self.QUARTIC), "Euler-Lagrange", "spreads by",
                      "bound 1.6e-10"):
+            assert part in msg, msg
+
+    def test_root_of_h_trips_the_regularity_guard(self):
+        # h has the real roots -1.778 and -1.743 inside the support [-3.954, 0],
+        # and min h = -3.1e-4 between them
+        V = [0.0, 0.0, -0.85, 0.3, 0.25]
+        with pytest.raises(BreakdownError) as exc:
+            build_equilibrium(Potential(V))
+        msg = str(exc.value)
+        for part in ("equilibrium stage", str(V), "not one-cut regular",
+                     "h has the real roots [-1.778", "[-3.95384, 0]", "h(0) = "):
             assert part in msg, msg
 
 

@@ -39,6 +39,16 @@ class TestRealPolynomial:
         assert np.allclose(np.sort(q.real_roots(5.0)), [-2.0, 2.0], atol=1e-14)
         assert q.real_roots().size == 0
 
+    def test_real_roots_in_a_window(self):
+        # x (x - 1)(x + 2) = x^3 + x^2 - 2x: the roots ascend
+        p = RealPolynomial([0.0, -2.0, 1.0, 1.0])
+        assert np.allclose(p.real_roots_in(-3.0, 3.0), [-2.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(p.real_roots_in(-1.0, 0.5), [0.0], atol=1e-14)
+        assert p.real_roots_in(0.25, 0.75).size == 0
+        # the window is closed: x - 1 has the root 1.0 exactly
+        assert RealPolynomial([-1.0, 1.0]).real_roots_in(1.0, 2.0).tolist() == [1.0]
+        assert RealPolynomial([3.0]).real_roots_in(-10.0, 10.0).size == 0
+
     def test_trailing_zeros_normalized(self):
         p = RealPolynomial([1.0, 2.0, 0.0, 0.0])
         assert p.degree == 1
@@ -130,7 +140,8 @@ class TestPanels:
     def test_integrate_rejects_nonfinite(self):
         scheme = PanelScheme([0.0, 1.0])
         with pytest.raises(DomainError):
-            integrate_panels(lambda x: 1.0 / (x - x[0]), scheme)
+            with np.errstate(divide="ignore"):
+                integrate_panels(lambda x: 1.0 / (x - x[0]), scheme)
 
 
 class TestSemiInfiniteMap:
