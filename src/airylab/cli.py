@@ -294,11 +294,10 @@ def run_theorem2(cfg):
 
 
 def run_theorem3(cfg):
-    """Ratios rho_n of two deformations and c_n = n^{1/3}(1/2 - rho_n), in one
-    pass over n on one grid per n: per (Q, n, s) the ratio; per (n, s)
-    |c_n(Q1) - c_n(Q2)|; per (n, s0, s), s0 = s_list[0], the s-difference of
-    c_n(Q1) against that of t T (P(S) - S^2/(4T)) from the id-PII solution.
-    A point that raised fails only itself, and no difference reads it."""
+    """In one pass over n, one grid per n: per (Q, n, s) the ratio rho_n, with
+    c_n = n^{1/3}(1/2 - rho_n); per (n, s) |c_n(Q1) - c_n(Q2)|; per (n, s0, s),
+    s0 = s_list[0], the s-difference of c_n(Q1) against that of t T (P(S) -
+    S^2/(4T)) from id-PII.  A point that raised fails alone; no difference reads it."""
     eq, Q1, t_eff = _setup(cfg)
     Q2 = _deformation(cfg, "deformation2", eq)
     if abs(Q1.t - Q2.t) > 1e-12:

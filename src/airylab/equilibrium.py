@@ -88,11 +88,11 @@ def solve_support(V):
     m0 = float(crit[np.argmin(V(crit))]) if crit.size else 0.0
     for r0 in (1.0, 0.5, 2.0, 4.0, 0.25):
         m, r = m0, r0
-        ok = False
         for _ in range(200):
             res = residual(m, r)
             if np.max(np.abs(res)) < 1e-13:
-                ok = True
+                if r > 0:
+                    return m - r, m + r
                 break
             try:
                 step = np.linalg.solve(jacobian(m, r), res)
@@ -104,8 +104,6 @@ def solve_support(V):
                 if lam < 1e-8:
                     break
             m, r = m - lam * step[0], r - lam * step[1]
-        if ok and r > 0:
-            return m - r, m + r
     raise ConvergenceError("support solve did not converge")
 
 

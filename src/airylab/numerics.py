@@ -50,9 +50,13 @@ class RealPolynomial:
         return r[np.abs(r.imag) < 1e-10].real
 
     def real_roots_in(self, lo, hi):
-        """The real roots (as real_roots decides them) in [lo, hi], ascending."""
-        r = np.sort(self.real_roots())
-        return r[(lo <= r) & (r <= hi)]
+        """The zeros of p in [lo, hi], ascending: the roots real_roots keeps, and the
+        real part x of any root with |p(x)| <= 1e-12 sum_k |c_k x^k|, which keeps a
+        double root that np.roots splits into a complex pair some 1e-8 apart."""
+        z = np.roots(self.coeffs[::-1])
+        z = z[(lo <= z.real) & (z.real <= hi)]
+        size = np.abs(z.real)[:, None] ** np.arange(self.coeffs.size) @ np.abs(self.coeffs)
+        return np.sort(z.real[(np.abs(z.imag) < 1e-10) | (np.abs(self(z.real)) <= 1e-12 * size)])
 
     def shift(self, c):
         """Return the polynomial q(x) = p(x + c) (Taylor shift by repeated Horner)."""

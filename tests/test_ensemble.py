@@ -101,10 +101,16 @@ class TestDeformation:
         with pytest.raises(DomainError, match=r"\[-28\.3, 6\] at x = -10, "):
             DeformationQ(q, a=28.3)
 
-    def test_sign_excursion_between_samples(self):
+    @pytest.mark.parametrize("q, x", [
         # Q = -x ((x - 3.03)^2 - 1e-4) is positive on (3.02, 3.04) only
-        with pytest.raises(DomainError, match=r"\[-6, 6\] at x = 3\.02, "):
-            DeformationQ([0.0, -9.1808, 6.06, -1.0])
+        ([0.0, -9.1808, 6.06, -1.0], r"3\.02"),
+        # Q = -x (x - 3)^2 (1 + x^2/100) vanishes at x = 3 without changing
+        # sign; np.roots returns that double root as the pair 3 +- 8e-8 i
+        ([0.0, -9.0, 6.0, -1.09, 0.06, -0.01], "3"),
+    ])
+    def test_narrow_or_tangent_violation(self, q, x):
+        with pytest.raises(DomainError, match=rf"\[-6, 6\] at x = {x}, "):
+            DeformationQ(q)
 
     def test_log_sigma_stable(self, q_linear):
         vals = log_sigma(q_linear, 64, 0.0, np.array([-100.0, 0.0, 100.0]))

@@ -123,16 +123,23 @@ class TestGuards:
                      "bound 1.6e-10"):
             assert part in msg, msg
 
-    def test_root_of_h_trips_the_regularity_guard(self):
-        # h has the real roots -1.778 and -1.743 inside the support [-3.954, 0],
-        # and min h = -3.1e-4 between them
-        V = [0.0, 0.0, -0.85, 0.3, 0.25]
+    @pytest.mark.parametrize("V, roots, support", [
+        # h < 0 between its real roots, min h = -3.1e-4
+        ([0.0, 0.0, -0.85, 0.3, 0.25], [-1.77836, -1.74309], "[-3.95384, 0]"),
+        # the critical quartic (x - 0.7)^4/4 - (x - 0.7)^2 less its constant:
+        # its density vanishes quadratically at the middle of the support,
+        # where h has a double root that np.roots returns as -2 +- 6e-8 i
+        ([0.0, 1.057, -0.265, -0.7, 0.25], [-2.0, -2.0], "[-4, 0]"),
+    ])
+    def test_root_of_h_trips_the_regularity_guard(self, V, roots, support):
         with pytest.raises(BreakdownError) as exc:
             build_equilibrium(Potential(V))
         msg = str(exc.value)
         for part in ("equilibrium stage", str(V), "not one-cut regular",
-                     "h has the real roots [-1.778", "[-3.95384, 0]", "h(0) = "):
+                     f"on the support {support}", "h(0) = "):
             assert part in msg, msg
+        found = msg.split("h has the real roots [")[1].split("]")[0].split(", ")
+        assert np.allclose([float(r) for r in found], roots, atol=1e-5), msg
 
 
 class TestComputeH:

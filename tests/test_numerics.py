@@ -48,6 +48,12 @@ class TestRealPolynomial:
         # the window is closed: x - 1 has the root 1.0 exactly
         assert RealPolynomial([-1.0, 1.0]).real_roots_in(1.0, 2.0).tolist() == [1.0]
         assert RealPolynomial([3.0]).real_roots_in(-10.0, 10.0).size == 0
+        # (x - 3)^2 (1 + x^2/100): np.roots gives 3 +- 8e-8 i, and p(3) = 0;
+        # the pair +-10 i of 1 + x^2/100 is no zero
+        p = RealPolynomial([9.0, -6.0, 1.09, -0.06, 0.01])
+        assert p.real_roots().size == 0
+        assert np.allclose(p.real_roots_in(-6.0, 6.0), [3.0, 3.0], atol=1e-14)
+        assert RealPolynomial([1.0, 0.0, 0.01]).real_roots_in(-6.0, 6.0).size == 0
 
     def test_trailing_zeros_normalized(self):
         p = RealPolynomial([1.0, 2.0, 0.0, 0.0])
